@@ -116,11 +116,11 @@ def cmd_render(args) -> int:
 
 def cmd_invariants(args) -> int:
     g = _grid(args)
+    xs = linkdiag._crossing_positions(g)  # builds the diagram the rest reads
     comps, cycles = linkdiag.components(g)
     print(f"size={g.size}")
     print(f"components={comps}")
     print("cycles=" + " ".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
-    xs = linkdiag._crossing_positions(g)
     print(f"crossings={len(xs)}")
     if g.oriented:
         stats = linkdiag.front_stats(g)
@@ -132,7 +132,8 @@ def cmd_invariants(args) -> int:
         print(f"seifert_circles={circles}")
         print(f"seifert_euler={euler}")
     if len(xs) <= linkdiag.BRACKET_CAP:
-        print(f"bracket={linkdiag.kauffman_bracket(g.unoriented())}")
+        # the bracket reads any grid unoriented, so it shares the diagram of g
+        print(f"bracket={linkdiag.kauffman_bracket(g)}")
     else:
         print(f"bracket=skipped ({len(xs)} crossings exceed cap {linkdiag.BRACKET_CAP})")
     return 0

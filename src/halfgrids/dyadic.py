@@ -239,36 +239,29 @@ def cmp_mid(a: SdInterval, b: SdInterval) -> int:
     return -1 if ma < mb else (0 if ma == mb else 1)
 
 
-def cmp_len(a: SdInterval, b: SdInterval) -> int:
-    if a.m != b.m:
-        # larger m means shorter interval
-        return -1 if a.m > b.m else 1
-    return cmp_mid(a, b)
-
-
 MID_KEY = cmp_to_key(cmp_mid)
-LEN_KEY = cmp_to_key(cmp_len)
 
 
 def spanning_intervals(p: SdPartition) -> tuple[SdInterval, ...]:
     """All s.d. intervals spanned by breakpoint pairs, in midpoint order.
 
-    Computed by recursive midpoint splitting: an interval of the tree either
-    is a subinterval of p or splits at its midpoint, which must then be a
-    breakpoint.
+    The intervals form a binary tree: an interval either is a subinterval of
+    p or splits at its midpoint, which must then be a breakpoint.  An
+    in-order walk (left child, interval, right child) lists them by midpoint;
+    it keeps its own stack, so deep partitions need no recursion.
     """
     bps = set(p.breakpoints)
     found: list[SdInterval] = []
-
-    def descend(iv: SdInterval) -> None:
+    stack: list[tuple[SdInterval, bool]] = []
+    iv: SdInterval | None = UNIT
+    while iv is not None or stack:
+        while iv is not None:
+            splits = midpoint(iv) in bps
+            stack.append((iv, splits))
+            iv = SdInterval(2 * iv.k, iv.m + 1) if splits else None
+        iv, splits = stack.pop()
         found.append(iv)
-        mid = midpoint(iv)
-        if mid in bps:
-            descend(SdInterval(2 * iv.k, iv.m + 1))
-            descend(SdInterval(2 * iv.k + 1, iv.m + 1))
-
-    descend(UNIT)
-    found.sort(key=MID_KEY)
+        iv = SdInterval(2 * iv.k + 1, iv.m + 1) if splits else None
     return tuple(found)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import SdPartition, conjugate, sign, spanning_intervals, LEN_KEY
+from .dyadic import SdPartition, conjugate, sign, spanning_intervals
 from .errors import Incompatible, NotAPermutation, ParseError, SizeMismatch
 
 
@@ -29,6 +29,10 @@ class HalfGrid:
         used = list(self.x_cols) + list(self.o_cols)
         if sorted(used) != list(range(1, 2 * n + 1)):
             raise ValueError("columns must be a permutation of 1..2n")
+        mark_rows = [0] * (2 * n)
+        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
+            mark_rows[x - 1] = mark_rows[o - 1] = r
+        object.__setattr__(self, "_mark_rows", tuple(mark_rows))
 
     def column_marks(self) -> tuple[str, ...]:
         """Mark type per column, 'X' or 'O'."""
@@ -41,10 +45,9 @@ class HalfGrid:
 
     def column_row(self, c: int) -> int:
         """Row of the single mark in column c."""
-        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
-            if x == c or o == c:
-                return r
-        raise ValueError(f"column {c} out of range")
+        if not 1 <= c <= 2 * self.n:
+            raise ValueError(f"column {c} out of range")
+        return self._mark_rows[c - 1]
 
     def __str__(self) -> str:
         return format_half_grid(self)
@@ -77,15 +80,22 @@ class GridDiagram:
         else:
             if any(x_count[c] + o_count[c] != 2 for c in range(1, m + 1)):
                 raise ValueError("each column needs exactly two marks")
+        # column spans, filled bottom row first so each pair comes out ascending
+        lo = [0] * m
+        hi = [0] * m
+        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
+            for c in (x, o):
+                if lo[c - 1]:
+                    hi[c - 1] = r
+                else:
+                    lo[c - 1] = r
+        object.__setattr__(self, "_spans", tuple(zip(lo, hi)))
 
     def column_rows(self, c: int) -> tuple[int, int]:
         """The two rows holding marks in column c, ascending."""
-        rows = [
-            r
-            for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1)
-            if x == c or o == c
-        ]
-        return rows[0], rows[1]
+        if not 1 <= c <= self.size:
+            raise ValueError(f"column {c} out of range")
+        return self._spans[c - 1]
 
     def unoriented(self) -> "GridDiagram":
         return GridDiagram(self.size, self.x_cols, self.o_cols, oriented=False)
@@ -140,7 +150,8 @@ def half_grid_from_partition(p: SdPartition) -> HalfGrid:
     n = p.n
     spanning = spanning_intervals(p)  # midpoint order
     col = {iv: i + 2 for i, iv in enumerate(spanning)}
-    positives = sorted((iv for iv in spanning if sign(iv) == "+"), key=LEN_KEY)
+    # length order: shorter first (larger m), then by midpoint (k)
+    positives = sorted((iv for iv in spanning if sign(iv) == "+"), key=lambda iv: (-iv.m, iv.k))
     # distinct intervals never tie under the length order
     assert len(set(positives)) == len(positives)
     row = {iv: i + 1 for i, iv in enumerate(positives)}

@@ -10,7 +10,10 @@ checks explicitly.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import TooManyCrossings, UnorientedDiagram
 from .halfgrid import GridDiagram, HalfGrid
@@ -28,15 +31,6 @@ def _rotate_cw(d: tuple[int, int]) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class Segment:
-    kind: str  # 'h' or 'v'
-    fixed: int  # row for 'h', column for 'v'
-    lo: int
-    hi: int
-    direction: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class Crossing:
     row: int  # row of the horizontal (over) strand
     col: int  # column of the vertical (under) strand
@@ -45,50 +39,165 @@ class Crossing:
     sign: int
 
 
-def horizontal_segments(g: GridDiagram) -> list[Segment]:
-    out = []
-    for r in range(1, g.size + 1):
-        x, o = g.x_cols[r - 1], g.o_cols[r - 1]
-        out.append(Segment("h", r, min(x, o), max(x, o), EAST if o > x else WEST))
-    return out
+# the four ends of a crossing, in the order PlanarDiagram.arcs lists their arcs
+_END = {"W": 0, "E": 1, "S": 2, "N": 3}
 
 
-def vertical_segments(g: GridDiagram) -> list[Segment]:
-    if not g.oriented:
-        raise UnorientedDiagram("vertical directions need X/O marks")
-    x_row = {c: r for r, c in enumerate(g.x_cols, start=1)}
-    o_row = {c: r for r, c in enumerate(g.o_cols, start=1)}
-    out = []
-    for c in range(1, g.size + 1):
-        rx, ro = x_row[c], o_row[c]
-        out.append(Segment("v", c, min(rx, ro), max(rx, ro), NORTH if rx > ro else SOUTH))
-    return out
+class PlanarDiagram:
+    """The planar diagram of a grid or half grid, computed once, in
+    O(m log m + c) interpreted steps for m columns and c crossings.
+
+    Row r runs between the two marks ``rows[r - 1]``; column c runs between
+    the rows ``spans[c - 1]``, where row 0 is the bottom edge that the
+    columns of a half grid drop to.  Crossings are numbered row by row, left
+    to right; ``row_crossings`` and ``col_crossings`` list their numbers per
+    row (left to right) and per column (bottom to top).  On an oriented
+    diagram a strand's direction of travel is ``row_dir``/``col_dir``, so
+    its travel order is the listed order or its reverse.  Cutting a closed
+    diagram at its crossings leaves arcs, labelled on first use by `arcs`.
+    """
+
+    def __init__(self, obj: GridDiagram | HalfGrid):
+        if isinstance(obj, HalfGrid):  # an open tangle
+            self.closed, self.oriented = False, True
+            self.width, self.height = 2 * obj.n, obj.n
+            spans = [(0, obj.column_row(c)) for c in range(1, self.width + 1)]
+        else:
+            self.closed, self.oriented = True, obj.oriented
+            self.width = self.height = obj.size
+            spans = [obj.column_rows(c) for c in range(1, obj.size + 1)]
+        self.spans = tuple(spans)
+        self.rows = tuple(zip(obj.x_cols, obj.o_cols))
+        self.positions = _sweep(self.rows, self.spans)
+        row_crossings: list[list[int]] = [[] for _ in self.rows]
+        col_crossings: list[list[int]] = [[] for _ in spans]
+        for k, (c, r) in enumerate(self.positions):
+            row_crossings[r - 1].append(k)
+            col_crossings[c - 1].append(k)
+        self.row_crossings = tuple(map(tuple, row_crossings))
+        self.col_crossings = tuple(map(tuple, col_crossings))
+
+        self.row_dir: tuple[tuple[int, int], ...] = ()
+        self.col_dir: tuple[tuple[int, int], ...] = ()
+        self.signs: tuple[int, ...] = ()
+        if self.oriented:
+            # rows run X to O; columns run O to X, so north when the X is on top
+            self.row_dir = tuple(EAST if o > x else WEST for x, o in self.rows)
+            self.col_dir = tuple(
+                NORTH if self.rows[hi - 1][0] == c else SOUTH
+                for c, (_, hi) in enumerate(spans, start=1)
+            )
+            self.signs = tuple(
+                1 if self.row_dir[r - 1] == _rotate_cw(self.col_dir[c - 1]) else -1
+                for c, r in self.positions
+            )
+
+    @cached_property
+    def arcs(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
+        """(pd, arc count, free loops) of a closed diagram: pd[k] labels the
+        arcs at the W, E, S and N ends of crossing k, as a PD code does, and
+        the free loops are the components without a crossing.
+
+        A crossing has four end stubs and a mark two, one towards its row
+        and one towards its column.  A strand piece links two stubs (`link`)
+        and a mark turns the corner between its own two (stub ^ 1).  A walk
+        from a crossing end through the marks ends at another crossing end:
+        that is one arc.  Marks no walk reaches lie on components without
+        crossings.
+        """
+        if not self.closed:
+            raise ValueError("arcs need a closed diagram")
+        ends = 4 * len(self.positions)
+        link = [0] * (ends + 4 * self.height)
+
+        def mark_stub(c: int, r: int, column: bool) -> int:  # left mark of a row first
+            x, o = self.rows[r - 1]
+            return ends + 4 * (r - 1) + 2 * (c == max(x, o)) + column
+
+        def join(stops: list[int]) -> None:
+            for a, b in zip(stops[0::2], stops[1::2]):
+                link[a], link[b] = b, a
+
+        W, E, S, N = (_END[e] for e in "WESN")
+        for r, ks in enumerate(self.row_crossings, start=1):
+            lo, hi = sorted(self.rows[r - 1])
+            join([mark_stub(lo, r, False), *(4 * k + e for k in ks for e in (W, E)),
+                  mark_stub(hi, r, False)])
+        for c, ks in enumerate(self.col_crossings, start=1):
+            lo, hi = self.spans[c - 1]
+            join([mark_stub(c, lo, True), *(4 * k + e for k in ks for e in (S, N)),
+                  mark_stub(c, hi, True)])
+
+        seen = bytearray(len(link))
+        label = [-1] * ends
+        arcs = 0
+        for e in range(ends):
+            if label[e] < 0:
+                s = link[e]
+                while s >= ends:
+                    seen[s] = seen[s ^ 1] = 1
+                    s = link[s ^ 1]
+                label[e] = label[s] = arcs
+                arcs += 1
+        loops = 0
+        for start in range(ends, len(link), 2):
+            s = start
+            loops += not seen[s]
+            while not seen[s]:
+                seen[s] = seen[s ^ 1] = 1
+                s = link[s ^ 1]
+        return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), arcs, loops
+
+
+def _sweep(rows, spans) -> tuple[tuple[int, int], ...]:
+    """(col, row) of every crossing, row by row, left to right.
+
+    One pass up the rows keeps the columns whose span strictly contains the
+    current row in a sorted list; a row's crossings are the slice of that
+    list strictly between its two marks.  Each mark ends its column's span,
+    so the column leaves the list before the slice (top end) or joins it
+    after (bottom end).
+    """
+    active = [c for c, (lo, _) in enumerate(spans, start=1) if lo == 0]
+    out: list[tuple[int, int]] = []
+    for r, (x, o) in enumerate(rows, start=1):
+        for c in (x, o):
+            if spans[c - 1][1] == r:
+                del active[bisect_left(active, c)]
+        lo, hi = (x, o) if x < o else (o, x)
+        out.extend((c, r) for c in active[bisect_left(active, lo):bisect_left(active, hi)])
+        for c in (x, o):
+            if spans[c - 1][0] == r:
+                insort(active, c)
+    return tuple(out)
+
+
+def diagram(obj: GridDiagram | HalfGrid) -> PlanarDiagram:
+    """The planar diagram of obj, built on first use and kept on obj."""
+    d = obj.__dict__.get("_diagram")
+    if d is None:
+        d = PlanarDiagram(obj)
+        object.__setattr__(obj, "_diagram", d)
+    return d
 
 
 def _crossing_positions(g: GridDiagram) -> list[tuple[int, int]]:
-    """(col, row) pairs where a vertical passes strictly under a horizontal."""
-    out = []
-    for r in range(1, g.size + 1):
-        c1, c2 = g.x_cols[r - 1], g.o_cols[r - 1]
-        lo, hi = min(c1, c2), max(c1, c2)
-        for c in range(lo + 1, hi):
-            r1, r2 = g.column_rows(c)
-            if r1 < r < r2:
-                out.append((c, r))
-    return out
+    """(col, row) pairs where a vertical passes strictly under a horizontal,
+    row by row, left to right."""
+    return list(diagram(g).positions)
+
+
+def _crossing_list(d: PlanarDiagram) -> list[Crossing]:
+    return [
+        Crossing(r, c, d.row_dir[r - 1], d.col_dir[c - 1], s)
+        for (c, r), s in zip(d.positions, d.signs)
+    ]
 
 
 def crossings(g: GridDiagram) -> list[Crossing]:
     if not g.oriented:
         raise UnorientedDiagram("crossing signs need X/O marks")
-    vdir = {s.fixed: s.direction for s in vertical_segments(g)}
-    hdir = {s.fixed: s.direction for s in horizontal_segments(g)}
-    out = []
-    for c, r in _crossing_positions(g):
-        over, under = hdir[r], vdir[c]
-        s = 1 if over == _rotate_cw(under) else -1
-        out.append(Crossing(r, c, over, under, s))
-    return out
+    return _crossing_list(diagram(g))
 
 
 def writhe(g: GridDiagram) -> int:
@@ -99,19 +208,7 @@ def half_grid_crossings(h: HalfGrid) -> list[Crossing]:
     """Crossings of the tangle generated by a half grid: rows run X to O and
     every mark drops a vertical arc to the bottom edge (up at an X, down at
     an O)."""
-    mark_row = {c: h.column_row(c) for c in range(1, 2 * h.n + 1)}
-    marks = h.column_marks()
-    out = []
-    for r in range(1, h.n + 1):
-        x, o = h.x_cols[r - 1], h.o_cols[r - 1]
-        lo, hi = min(x, o), max(x, o)
-        over = EAST if o > x else WEST
-        for c in range(lo + 1, hi):
-            if r < mark_row[c]:
-                under = NORTH if marks[c - 1] == "X" else SOUTH
-                s = 1 if over == _rotate_cw(under) else -1
-                out.append(Crossing(r, c, over, under, s))
-    return out
+    return _crossing_list(diagram(h))
 
 
 def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -119,24 +216,22 @@ def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
     Cycles are listed with their smallest column first, sorted by it.
     """
-    row_marks = {
-        r: (g.x_cols[r - 1], g.o_cols[r - 1]) for r in range(1, g.size + 1)
-    }
-    seen_cols: set[int] = set()
+    d = diagram(g)
+    seen = [False] * (d.width + 1)
     cycles = []
-    for start in range(1, g.size + 1):
-        if start in seen_cols:
+    for start in range(1, d.width + 1):
+        if seen[start]:
             continue
         cols = []
-        c, r = start, g.column_rows(start)[0]
+        c, r = start, d.spans[start - 1][0]
         while True:
             cols.append(c)
-            seen_cols.add(c)
-            a, b = row_marks[r]  # step along the row
-            c = b if c == a else a
-            r1, r2 = g.column_rows(c)  # then along the column
-            r = r2 if r == r1 else r1
-            if c == start and r == g.column_rows(start)[0]:
+            seen[c] = True
+            x, o = d.rows[r - 1]  # step along the row
+            c = o if c == x else x
+            lo, hi = d.spans[c - 1]  # then along the column
+            r = hi if r == lo else lo
+            if c == start and r == d.spans[start - 1][0]:
                 break
         cycles.append(tuple(cols))
     return len(cycles), tuple(cycles)
@@ -152,37 +247,24 @@ class FrontStats:
     rot: int
 
 
-def _corners(g: GridDiagram) -> list[tuple[str, str]]:
-    """(mark type, corner type) for every mark; corner from the two strand
-    stubs leaving the mark."""
-    out = []
-    for r in range(1, g.size + 1):
-        for mark, c in (("X", g.x_cols[r - 1]), ("O", g.o_cols[r - 1])):
-            partner_col = g.o_cols[r - 1] if mark == "X" else g.x_cols[r - 1]
-            r1, r2 = g.column_rows(c)
-            partner_row = r2 if r == r1 else r1
-            horiz = "E" if partner_col > c else "W"
-            vert = "N" if partner_row > r else "S"
-            corner = {("W", "S"): "NE", ("E", "N"): "SW",
-                      ("W", "N"): "SE", ("E", "S"): "NW"}[(horiz, vert)]
-            out.append((mark, corner))
-    return out
-
-
 def front_stats(g: GridDiagram) -> FrontStats:
     """Legendrian front data after the quarter-turn correspondence: cusps are
     the NE and SW corners; an NE corner is an up cusp at an X and a down cusp
-    at an O, and the other way around for SW corners."""
+    at an O, and the other way around for SW corners.  A mark's corner is
+    named by the two strand stubs leaving it."""
     if not g.oriented:
         raise UnorientedDiagram("front statistics need X/O marks")
+    d = diagram(g)
     up = down = 0
-    for mark, corner in _corners(g):
-        if corner == "NE":
-            up += mark == "X"
-            down += mark == "O"
-        elif corner == "SW":
-            up += mark == "O"
-            down += mark == "X"
+    for r, (x, o) in enumerate(d.rows, start=1):
+        for c, partner, is_x in ((x, o, True), (o, x, False)):
+            lo, hi = d.spans[c - 1]
+            if partner < c and r == hi:  # NE: stubs leave west and south
+                up += is_x
+                down += not is_x
+            elif partner > c and r == lo:  # SW: stubs leave east and north
+                up += not is_x
+                down += is_x
     cusps = up + down
     w = writhe(g)
     assert cusps % 2 == 0 and (down - up) % 2 == 0, "open front: odd cusp parity"
@@ -198,62 +280,19 @@ def front_stats(g: GridDiagram) -> FrontStats:
 
 def seifert_stats(g: GridDiagram) -> tuple[int, int]:
     """(circles, euler) after orientation-respecting smoothing of all
-    crossings; euler = circles - crossings."""
+    crossings; euler = circles - crossings.
+
+    The oriented smoothing joins each strand's incoming end to the other
+    strand's outgoing end.  That is the A-smoothing of _A_PAIRS exactly
+    when the two strands run east and north or west and south."""
     if not g.oriented:
         raise UnorientedDiagram("Seifert smoothing needs orientations")
-    xs = crossings(g)
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for x in xs:
-        by_row.setdefault(x.row, []).append(x.col)
-        by_col.setdefault(x.col, []).append(x.row)
-
-    # directed arc pieces; arcs named ('h', r, i) / ('v', c, i) in travel order
-    succ: dict[tuple, tuple] = {}
-    h_first: dict[int, tuple] = {}
-    h_last: dict[int, tuple] = {}
-    v_first: dict[int, tuple] = {}
-    v_last: dict[int, tuple] = {}
-    h_at: dict[tuple[int, int], tuple[tuple, tuple]] = {}  # (c,r) -> (in, out)
-    v_at: dict[tuple[int, int], tuple[tuple, tuple]] = {}
-
-    for r in range(1, g.size + 1):
-        x, o = g.x_cols[r - 1], g.o_cols[r - 1]
-        cols = sorted(by_row.get(r, []), reverse=o < x)
-        pieces = [("h", r, i) for i in range(len(cols) + 1)]
-        h_first[r], h_last[r] = pieces[0], pieces[-1]
-        for i, c in enumerate(cols):
-            h_at[(c, r)] = (pieces[i], pieces[i + 1])
-    x_row = {c: r for r, c in enumerate(g.x_cols, start=1)}
-    o_row = {c: r for r, c in enumerate(g.o_cols, start=1)}
-    for c in range(1, g.size + 1):
-        rows = sorted(by_col.get(c, []), reverse=x_row[c] < o_row[c])
-        pieces = [("v", c, i) for i in range(len(rows) + 1)]
-        v_first[c], v_last[c] = pieces[0], pieces[-1]
-        for i, r in enumerate(rows):
-            v_at[(c, r)] = (pieces[i], pieces[i + 1])
-
-    for r in range(1, g.size + 1):
-        succ[h_last[r]] = v_first[g.o_cols[r - 1]]  # through the O mark
-    for c in range(1, g.size + 1):
-        succ[v_last[c]] = h_first[x_row[c]]  # through the X mark
-    for x in xs:  # smooth: swap the strands, keep directions
-        h_in, h_out = h_at[(x.col, x.row)]
-        v_in, v_out = v_at[(x.col, x.row)]
-        succ[h_in] = v_out
-        succ[v_in] = h_out
-
-    circles = 0
-    seen: set[tuple] = set()
-    for start in succ:
-        if start in seen:
-            continue
-        circles += 1
-        cur = start
-        while cur not in seen:
-            seen.add(cur)
-            cur = succ[cur]
-    return circles, circles - len(xs)
+    d = diagram(g)
+    smoothing = [
+        (d.row_dir[r - 1] == EAST) == (d.col_dir[c - 1] == NORTH) for c, r in d.positions
+    ]
+    circles = _loops(d, smoothing)
+    return circles, circles - len(d.positions)
 
 
 class LaurentPoly:
@@ -342,70 +381,36 @@ class _UnionFind:
         return True
 
 
+_A_ENDS = tuple((_END[p], _END[q]) for p, q in _A_PAIRS)
+_B_ENDS = tuple((_END[p], _END[q]) for p, q in _B_PAIRS)
+
+
+def _loops(d: PlanarDiagram, a_smoothed) -> int:
+    """Circles left after smoothing crossing k A-wise where a_smoothed[k]
+    is true and B-wise where it is false."""
+    pd, arc_count, free_loops = d.arcs
+    uf = _UnionFind(arc_count)
+    merges = 0
+    for arcs, a in zip(pd, a_smoothed):
+        for p, q in _A_ENDS if a else _B_ENDS:
+            merges += uf.union(arcs[p], arcs[q])
+    return arc_count - merges + free_loops
+
+
 def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     """State-sum bracket of the unoriented reading, loop weight -A^2 - A^-2,
     normalized so a crossingless unknot diagram gives 1."""
-    positions = _crossing_positions(g)
-    c = len(positions)
+    c = len(_crossing_positions(g))
     if c > BRACKET_CAP:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
-
-    tokens: dict[tuple, int] = {}
-
-    def tok(key: tuple) -> int:
-        return tokens.setdefault(key, len(tokens))
-
-    base_joins: list[tuple[int, int]] = []
-    by_row: dict[int, list[int]] = {}
-    by_col: dict[int, list[int]] = {}
-    for col, row in positions:
-        by_row.setdefault(row, []).append(col)
-        by_col.setdefault(col, []).append(row)
-
-    for r in range(1, g.size + 1):
-        c1, c2 = sorted((g.x_cols[r - 1], g.o_cols[r - 1]))
-        stops = [tok(("m", c1, r))]
-        for col in sorted(by_row.get(r, [])):
-            stops.append(tok(("c", col, r, "W")))
-            stops.append(tok(("c", col, r, "E")))
-        stops.append(tok(("m", c2, r)))
-        for a, b in zip(stops[0::2], stops[1::2]):
-            base_joins.append((a, b))
-    for col in range(1, g.size + 1):
-        r1, r2 = g.column_rows(col)
-        stops = [tok(("m", col, r1))]
-        for row in sorted(by_col.get(col, [])):
-            stops.append(tok(("c", col, row, "S")))
-            stops.append(tok(("c", col, row, "N")))
-        stops.append(tok(("m", col, r2)))
-        for a, b in zip(stops[0::2], stops[1::2]):
-            base_joins.append((a, b))
-
-    cross_joins = []
-    for col, row in positions:
-        a = [(tok(("c", col, row, p)), tok(("c", col, row, q))) for p, q in _A_PAIRS]
-        b = [(tok(("c", col, row, p)), tok(("c", col, row, q))) for p, q in _B_PAIRS]
-        cross_joins.append((a, b))
-
-    n_tokens = len(tokens)
-    total = LaurentPoly()
+    d = diagram(g)
+    states: Counter[tuple[int, int]] = Counter()  # (A-smoothings, loops) -> states
     for state in range(1 << c):
-        uf = _UnionFind(n_tokens)
-        merges = 0
-        for a, b in base_joins:
-            merges += uf.union(a, b)
-        a_count = 0
-        for i, (a_join, b_join) in enumerate(cross_joins):
-            if state >> i & 1:
-                a_count += 1
-                picked = a_join
-            else:
-                picked = b_join
-            for a, b in picked:
-                merges += uf.union(a, b)
-        loops = n_tokens - merges
-        term = LaurentPoly.monomial(1, 2 * a_count - c) * LOOP ** (loops - 1)
-        total = total + term
+        smoothing = [state >> i & 1 for i in range(c)]
+        states[sum(smoothing), _loops(d, smoothing)] += 1
+    total = LaurentPoly()
+    for (a_count, loops), count in states.items():
+        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
     return total
 
 
@@ -429,90 +434,53 @@ _CHARS = {
 }
 
 
-def _cells(width: int, height: int) -> list[list[str]]:
-    return [[" "] * width for _ in range(height)]
-
-
 def render_ascii(obj: GridDiagram | HalfGrid, ascii_only: bool = False) -> str:
     """Character rendering, one cell per grid square, top row first.
     Vertical strands break under horizontal ones at crossings."""
     chars = _CHARS[not ascii_only]
-    if isinstance(obj, HalfGrid):
-        width, height = 2 * obj.n, obj.n
-        rows = [(obj.x_cols[r - 1], obj.o_cols[r - 1]) for r in range(1, height + 1)]
-        vspan = {c: (1, obj.column_row(c)) for c in range(1, width + 1)}
-        oriented = True
-        x_set = set()
-        for r, (x, _) in enumerate(rows, start=1):
-            x_set.add((x, r))
-    else:
-        width = height = obj.size
-        rows = [(obj.x_cols[r - 1], obj.o_cols[r - 1]) for r in range(1, height + 1)]
-        vspan = {c: obj.column_rows(c) for c in range(1, width + 1)}
-        oriented = obj.oriented
-        x_set = {(c, r) for r, c in enumerate(obj.x_cols, start=1)}
-
-    grid = _cells(width, height)
-    for c, (lo, hi) in vspan.items():
-        for r in range(lo, hi + 1):
-            grid[r - 1][c - 1] = chars["v"]
-    for r, (x, o) in enumerate(rows, start=1):
-        for c in range(min(x, o), max(x, o) + 1):
-            grid[r - 1][c - 1] = chars["h"]  # horizontal over: unbroken
-    for r, (x, o) in enumerate(rows, start=1):
-        for c in (x, o):
-            if oriented:
-                grid[r - 1][c - 1] = chars["X"] if (c, r) in x_set else chars["O"]
-            else:
-                grid[r - 1][c - 1] = chars["B"]
-    return "\n".join("".join(row) for row in reversed(grid))
+    d = diagram(obj)
+    columns = []  # bottom to top
+    for lo, hi in d.spans:
+        lo = max(lo, 1)
+        columns.append([" "] * (lo - 1) + [chars["v"]] * (hi - lo + 1) + [" "] * (d.height - hi))
+    grid = [list(line) for line in zip(*columns)]
+    marks = (chars["X"], chars["O"]) if d.oriented else (chars["B"], chars["B"])
+    for line, (x, o) in zip(grid, d.rows):
+        line[min(x, o) - 1:max(x, o)] = [chars["h"]] * (abs(o - x) + 1)  # over: unbroken
+        line[x - 1], line[o - 1] = marks
+    return "\n".join("".join(line) for line in reversed(grid))
 
 
 def render_svg(obj: GridDiagram | HalfGrid) -> str:
     """SVG 1.1 document; vertical under-strands get gaps at crossings."""
     cell = 20
-    if isinstance(obj, HalfGrid):
-        width, height = 2 * obj.n, obj.n
-        rows = [(obj.x_cols[r - 1], obj.o_cols[r - 1]) for r in range(1, height + 1)]
-        vspan = {c: (0, obj.column_row(c)) for c in range(1, width + 1)}
-        oriented = True
-    else:
-        width = height = obj.size
-        rows = [(obj.x_cols[r - 1], obj.o_cols[r - 1]) for r in range(1, height + 1)]
-        vspan = {c: obj.column_rows(c) for c in range(1, width + 1)}
-        oriented = obj.oriented
+    gap = 5
+    d = diagram(obj)
 
     def px(c: int) -> int:
         return c * cell
 
     def py(r: int) -> int:
-        return (height + 1 - r) * cell  # flip: row 1 at the bottom
-
-    cross_rows: dict[int, list[int]] = {}
-    for r, (x, o) in enumerate(rows, start=1):
-        lo, hi = min(x, o), max(x, o)
-        for c in range(lo + 1, hi):
-            clo, chi = vspan[c]
-            if clo < r < chi:
-                cross_rows.setdefault(c, []).append(r)
+        return (d.height + 1 - r) * cell  # flip: row 1 at the bottom, row 0 the edge
 
     lines = []
-    gap = 5
-    for c in range(1, width + 1):
-        lo, hi = vspan[c]
-        y_stops = [py(lo)] if lo else [py(1) + cell]
-        for r in sorted(cross_rows.get(c, []), reverse=True):
+    for c, ((lo, hi), ks) in enumerate(zip(d.spans, d.col_crossings), start=1):
+        y_stops = [py(lo)]
+        # top crossing first, as the output has always had it; a column with
+        # two or more crossings thus gets overlapping lines (a known defect)
+        for k in reversed(ks):
+            r = d.positions[k][1]
             y_stops.extend([py(r) + gap, py(r) - gap])
         y_stops.append(py(hi))
         for y1, y2 in zip(y_stops[0::2], y_stops[1::2]):
             lines.append(f'<line x1="{px(c)}" y1="{y1}" x2="{px(c)}" y2="{y2}" stroke="black"/>')
-    for r, (x, o) in enumerate(rows, start=1):
+    for r, (x, o) in enumerate(d.rows, start=1):
         lines.append(
             f'<line x1="{px(min(x, o))}" y1="{py(r)}" x2="{px(max(x, o))}" y2="{py(r)}" stroke="black"/>'
         )
     marks = []
-    for r, (x, o) in enumerate(rows, start=1):
-        if oriented:
+    for r, (x, o) in enumerate(d.rows, start=1):
+        if d.oriented:
             marks.append(f'<text x="{px(x)}" y="{py(r)}" text-anchor="middle" dy="4">X</text>')
             marks.append(f'<text x="{px(o)}" y="{py(r)}" text-anchor="middle" dy="4">O</text>')
         else:
@@ -521,7 +489,7 @@ def render_svg(obj: GridDiagram | HalfGrid) -> str:
                 marks.append(
                     f'<line x1="{px(c) - 4}" y1="{py(r) - 4}" x2="{px(c) + 4}" y2="{py(r) + 4}" stroke="black"/>'
                 )
-    w, h = (width + 1) * cell, (height + 2) * cell
+    w, h = (d.width + 1) * cell, (d.height + 2) * cell
     body = "\n".join(lines + marks)
     return (
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{w}" height="{h}">\n'

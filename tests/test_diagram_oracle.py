@@ -1,0 +1,341 @@
+"""The planar-diagram record checked against the direct scans it replaced.
+
+The oracles below are the first implementations of each invariant.  Every
+column lookup in them scans all rows, so crossing detection is cubic and
+component tracing quadratic in the grid size.  They stay here, slow and
+independent of the record, and are compared with it on random oriented and
+unoriented grids, random half grids and tree stacks.
+"""
+
+import contextlib
+import io
+import itertools
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from halfgrids import cli, linkdiag
+from halfgrids.halfgrid import (
+    GridDiagram,
+    assemble,
+    assemble_unoriented,
+    half_grid_from_partition,
+    is_compatible,
+    perm_decode,
+    Permutation,
+)
+from halfgrids.linkdiag import (
+    _A_PAIRS,
+    _B_PAIRS,
+    LOOP,
+    LaurentPoly,
+    _crossing_positions,
+    components,
+    crossings,
+    front_stats,
+    half_grid_crossings,
+    kauffman_bracket,
+    seifert_stats,
+    writhe,
+)
+from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, partition_from_tree
+
+EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
+
+
+# --- oracles -----------------------------------------------------------------
+
+def scan_column_rows(g, c):
+    rows = [r for r, (x, o) in enumerate(zip(g.x_cols, g.o_cols), start=1) if c in (x, o)]
+    return rows[0], rows[1]
+
+
+def scan_column_row(h, c):
+    return next(r for r, (x, o) in enumerate(zip(h.x_cols, h.o_cols), start=1) if c in (x, o))
+
+
+def oracle_crossing_positions(g):
+    out = []
+    for r in range(1, g.size + 1):
+        c1, c2 = g.x_cols[r - 1], g.o_cols[r - 1]
+        for c in range(min(c1, c2) + 1, max(c1, c2)):
+            r1, r2 = scan_column_rows(g, c)
+            if r1 < r < r2:
+                out.append((c, r))
+    return out
+
+
+def _sign(over, under):
+    return 1 if over == (under[1], -under[0]) else -1
+
+
+def oracle_signed_crossings(g):
+    """(col, row, sign); rows run X to O, columns O to X."""
+    x_row = {c: r for r, c in enumerate(g.x_cols, start=1)}
+    o_row = {c: r for r, c in enumerate(g.o_cols, start=1)}
+    out = []
+    for c, r in oracle_crossing_positions(g):
+        over = EAST if g.o_cols[r - 1] > g.x_cols[r - 1] else WEST
+        under = NORTH if x_row[c] > o_row[c] else SOUTH
+        out.append((c, r, _sign(over, under)))
+    return out
+
+
+def oracle_half_grid_crossings(h):
+    marks = h.column_marks()
+    out = []
+    for r in range(1, h.n + 1):
+        x, o = h.x_cols[r - 1], h.o_cols[r - 1]
+        over = EAST if o > x else WEST
+        for c in range(min(x, o) + 1, max(x, o)):
+            if r < scan_column_row(h, c):
+                out.append((c, r, _sign(over, NORTH if marks[c - 1] == "X" else SOUTH)))
+    return out
+
+
+def oracle_components(g):
+    row_marks = {r: (g.x_cols[r - 1], g.o_cols[r - 1]) for r in range(1, g.size + 1)}
+    seen = set()
+    cycles = []
+    for start in range(1, g.size + 1):
+        if start in seen:
+            continue
+        cols = []
+        c, r = start, scan_column_rows(g, start)[0]
+        while True:
+            cols.append(c)
+            seen.add(c)
+            a, b = row_marks[r]
+            c = b if c == a else a
+            r1, r2 = scan_column_rows(g, c)
+            r = r2 if r == r1 else r1
+            if c == start and r == scan_column_rows(g, start)[0]:
+                break
+        cycles.append(tuple(cols))
+    return len(cycles), tuple(cycles)
+
+
+def oracle_front_stats(g):
+    """(writhe, cusps, up, down, tb, rot) from the corner type of every mark."""
+    up = down = 0
+    for r in range(1, g.size + 1):
+        for mark, c in (("X", g.x_cols[r - 1]), ("O", g.o_cols[r - 1])):
+            partner_col = g.o_cols[r - 1] if mark == "X" else g.x_cols[r - 1]
+            r1, r2 = scan_column_rows(g, c)
+            partner_row = r2 if r == r1 else r1
+            horiz = "E" if partner_col > c else "W"
+            vert = "N" if partner_row > r else "S"
+            corner = {("W", "S"): "NE", ("E", "N"): "SW",
+                      ("W", "N"): "SE", ("E", "S"): "NW"}[(horiz, vert)]
+            if corner == "NE":
+                up += mark == "X"
+                down += mark == "O"
+            elif corner == "SW":
+                up += mark == "O"
+                down += mark == "X"
+    w = sum(s for _, _, s in oracle_signed_crossings(g))
+    cusps = up + down
+    return w, cusps, up, down, w - cusps // 2, (down - up) // 2
+
+
+def oracle_seifert_stats(g):
+    """Trace the arc pieces after the oriented smoothing of every crossing."""
+    xs = oracle_crossing_positions(g)
+    by_row, by_col = {}, {}
+    for c, r in xs:
+        by_row.setdefault(r, []).append(c)
+        by_col.setdefault(c, []).append(r)
+    x_row = {c: r for r, c in enumerate(g.x_cols, start=1)}
+    o_row = {c: r for r, c in enumerate(g.o_cols, start=1)}
+    succ, h_first, h_last, v_first, v_last, h_at, v_at = {}, {}, {}, {}, {}, {}, {}
+    for r in range(1, g.size + 1):
+        cols = sorted(by_row.get(r, []), reverse=g.o_cols[r - 1] < g.x_cols[r - 1])
+        pieces = [("h", r, i) for i in range(len(cols) + 1)]
+        h_first[r], h_last[r] = pieces[0], pieces[-1]
+        for i, c in enumerate(cols):
+            h_at[(c, r)] = (pieces[i], pieces[i + 1])
+    for c in range(1, g.size + 1):
+        rows = sorted(by_col.get(c, []), reverse=x_row[c] < o_row[c])
+        pieces = [("v", c, i) for i in range(len(rows) + 1)]
+        v_first[c], v_last[c] = pieces[0], pieces[-1]
+        for i, r in enumerate(rows):
+            v_at[(c, r)] = (pieces[i], pieces[i + 1])
+    for r in range(1, g.size + 1):
+        succ[h_last[r]] = v_first[g.o_cols[r - 1]]
+    for c in range(1, g.size + 1):
+        succ[v_last[c]] = h_first[x_row[c]]
+    for c, r in xs:
+        h_in, h_out = h_at[(c, r)]
+        v_in, v_out = v_at[(c, r)]
+        succ[h_in] = v_out
+        succ[v_in] = h_out
+    circles = 0
+    seen = set()
+    for start in succ:
+        if start not in seen:
+            circles += 1
+            cur = start
+            while cur not in seen:
+                seen.add(cur)
+                cur = succ[cur]
+    return circles, circles - len(xs)
+
+
+def oracle_bracket(g):
+    """State sum over a token graph: one token per mark and per crossing end."""
+    positions = oracle_crossing_positions(g)
+    c = len(positions)
+    tokens = {}
+
+    def tok(key):
+        return tokens.setdefault(key, len(tokens))
+
+    joins = []
+    for r in range(1, g.size + 1):
+        c1, c2 = sorted((g.x_cols[r - 1], g.o_cols[r - 1]))
+        stops = [tok(("m", c1, r))]
+        for col in sorted(col for col, row in positions if row == r):
+            stops += [tok(("c", col, r, "W")), tok(("c", col, r, "E"))]
+        stops.append(tok(("m", c2, r)))
+        joins += zip(stops[0::2], stops[1::2])
+    for col in range(1, g.size + 1):
+        r1, r2 = scan_column_rows(g, col)
+        stops = [tok(("m", col, r1))]
+        for row in sorted(row for cc, row in positions if cc == col):
+            stops += [tok(("c", col, row, "S")), tok(("c", col, row, "N"))]
+        stops.append(tok(("m", col, r2)))
+        joins += zip(stops[0::2], stops[1::2])
+    smoothings = [
+        [[(tok(("c", col, row, p)), tok(("c", col, row, q))) for p, q in pairs]
+         for pairs in (_B_PAIRS, _A_PAIRS)]
+        for col, row in positions
+    ]
+    total = LaurentPoly()
+    for state in range(1 << c):
+        parent = list(range(len(tokens)))
+
+        def find(a):
+            while parent[a] != a:
+                a = parent[a]
+            return a
+
+        picked = [pair for i, sm in enumerate(smoothings) for pair in sm[state >> i & 1]]
+        loops = len(tokens)
+        for a, b in joins + picked:
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[ra] = rb
+                loops -= 1
+        a_count = bin(state).count("1")
+        total = total + LaurentPoly.monomial(1, 2 * a_count - c) * LOOP ** (loops - 1)
+    return total
+
+
+# --- inputs ------------------------------------------------------------------
+
+@st.composite
+def oriented_grids(draw, max_size=40):
+    m = draw(st.integers(2, max_size))
+    x = draw(st.permutations(range(1, m + 1)))
+    o = list(draw(st.permutations(range(1, m + 1))))
+    for i in range(m):  # move each clash to the next row; that makes no new one
+        if o[i] == x[i]:
+            j = (i + 1) % m
+            o[i], o[j] = o[j], o[i]
+    return GridDiagram(m, tuple(x), tuple(o))
+
+
+@st.composite
+def unoriented_grids(draw, max_size=40):
+    """Every unoriented grid is an oriented one with some rows' marks swapped."""
+    g = draw(oriented_grids(max_size))
+    flips = draw(st.lists(st.booleans(), min_size=g.size, max_size=g.size))
+    rows = [(o, x) if f else (x, o) for x, o, f in zip(g.x_cols, g.o_cols, flips)]
+    return GridDiagram(g.size, tuple(r[0] for r in rows), tuple(r[1] for r in rows), oriented=False)
+
+
+@st.composite
+def trees(draw, leaves):
+    def build(k):
+        if k == 1:
+            return LEAF
+        left = draw(st.integers(1, k - 1))
+        return node(build(left), build(k - left))
+
+    return build(leaves)
+
+
+@st.composite
+def tree_stacks(draw, max_leaves=20):
+    """The stack of two random trees with n leaves: oriented when the half
+    grids are compatible (always when both trees are equal)."""
+    n = draw(st.integers(1, max_leaves))
+    top = draw(trees(n))
+    bottom = top if draw(st.booleans()) else draw(trees(n))
+    a, b = (half_grid_from_partition(partition_from_tree(t)) for t in (top, bottom))
+    return assemble(a, b) if is_compatible(a, b) else assemble_unoriented(a, b)
+
+
+any_grid = st.one_of(oriented_grids(), unoriented_grids(), tree_stacks())
+
+
+def check_record(g):
+    assert _crossing_positions(g) == oracle_crossing_positions(g)
+    assert components(g) == oracle_components(g)
+    if g.oriented:
+        assert [(x.col, x.row, x.sign) for x in crossings(g)] == oracle_signed_crossings(g)
+        assert writhe(g) == sum(s for _, _, s in oracle_signed_crossings(g))
+        s = front_stats(g)
+        assert (s.writhe, s.cusps, s.up_cusps, s.down_cusps, s.tb, s.rot) == oracle_front_stats(g)
+        assert seifert_stats(g) == oracle_seifert_stats(g)
+
+
+# --- tests -------------------------------------------------------------------
+
+@settings(max_examples=150, deadline=None)
+@given(any_grid)
+def test_record_matches_oracles(g):
+    check_record(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 20).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
+def test_half_grid_crossings_match_oracle(images):
+    h = perm_decode(Permutation(tuple(images)))
+    assert [(x.col, x.row, x.sign) for x in half_grid_crossings(h)] == oracle_half_grid_crossings(h)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(oriented_grids(7), unoriented_grids(7), tree_stacks(5)))
+def test_bracket_matches_oracle(g):
+    assume(len(oracle_crossing_positions(g)) <= 12)
+    assert kauffman_bracket(g) == oracle_bracket(g)
+
+
+def test_compatible_tree_stacks_match_oracles():
+    for n in range(1, 6):
+        halves = [
+            (leaf_signs(t), half_grid_from_partition(partition_from_tree(t)))
+            for t in enumerate_trees(n)
+        ]
+        for (s1, a), (s2, b) in itertools.product(halves, repeat=2):
+            if s1 == s2:
+                g = assemble(a, b)
+                check_record(g)
+                assert kauffman_bracket(g.unoriented()) == oracle_bracket(g)
+
+
+def test_invariants_builds_one_diagram(monkeypatch):
+    built = []
+
+    class Counted(linkdiag.PlanarDiagram):
+        def __init__(self, obj):
+            built.append(obj)
+            super().__init__(obj)
+
+    monkeypatch.setattr(linkdiag, "PlanarDiagram", Counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["invariants", "--trees", "(((..).).)|(((..).).)"])
+    assert code == 0 and "seifert_circles=" in out.getvalue()
+    assert len(built) == 1

@@ -174,6 +174,18 @@ class TestSdPartition:
                 p = partition_from_tree(t)
                 assert spanning_intervals(p) == spanning_intervals_by_pairs(p)
 
+    @given(st.lists(st.integers(min_value=0, max_value=1 << 20), max_size=80))
+    def test_spanning_routes_agree_on_random_partitions(self, picks):
+        # split a pick-chosen subinterval in half, once per pick, to depth 40
+        leaves = [UNIT]
+        for pick in picks:
+            i = pick % len(leaves)
+            iv = leaves[i]
+            if iv.m < 40:
+                leaves[i:i + 1] = [SdInterval(2 * iv.k, iv.m + 1), SdInterval(2 * iv.k + 1, iv.m + 1)]
+        p = SdPartition(tuple(iv.lo for iv in leaves) + (ONE,))
+        assert spanning_intervals(p) == spanning_intervals_by_pairs(p)
+
     def test_spanning_cardinalities(self):
         from halfgrids.thompson import enumerate_trees, partition_from_tree
 

@@ -1,0 +1,103 @@
+"""Byte-for-byte CLI outputs on a fixed set of inputs.
+
+The expected files in tests/fixtures/golden/ hold the stdout (and, for
+`render --out`, the SVG file) of each command on each input of
+`inputs.json`.  Regenerate them only for an intended output change:
+
+    PYTHONPATH=src python tests/test_golden_cli.py --write
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import os
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from halfgrids.cli import main
+
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+INPUTS = json.loads((GOLDEN / "inputs.json").read_text(encoding="utf-8"))
+COMMANDS = {
+    "invariants": ("invariants",),
+    "invariants-unoriented": ("invariants", "--unoriented"),
+    "render": ("render",),
+    "render-ascii": ("render", "--ascii-only"),
+    "render-svg": ("render", "--out", "x.svg"),
+    "export": ("export",),
+    "export-unoriented": ("export", "--unoriented"),
+    "export-rotate90": ("export", "--rotate90"),
+    "group-grid": ("group", "--grid", "g.grid"),
+}
+CASES = [(name, slug) for name in INPUTS for slug in COMMANDS]
+
+
+def _source(name: str) -> list[str]:
+    args = INPUTS[name]
+    if args[0] == "--grid":
+        return ["--grid", str(GOLDEN / args[1])]
+    return list(args)
+
+
+def _main(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+def run_case(name: str, slug: str) -> tuple[int, str, str | None]:
+    """(exit code, stdout, SVG text or None), run in the current directory."""
+    if slug == "group-grid":
+        # the grid file is the stack as exported, unoriented if it has to be
+        code, text = _main(["export", *_source(name)])
+        if code:
+            code, text = _main(["export", "--unoriented", *_source(name)])
+        Path("g.grid").write_text(text, encoding="utf-8")
+        return (*_main(list(COMMANDS[slug])), None)
+    svg = Path("x.svg")
+    svg.unlink(missing_ok=True)
+    code, out = _main([*COMMANDS[slug], *_source(name)])
+    return code, out, svg.read_text(encoding="utf-8") if svg.exists() else None
+
+
+def _expected(name: str, slug: str) -> tuple[int, str, str | None]:
+    codes = json.loads((GOLDEN / "exit_codes.json").read_text(encoding="utf-8"))
+    out = (GOLDEN / f"{name}.{slug}.out").read_text(encoding="utf-8")
+    svg_path = GOLDEN / f"{name}.{slug}.svg"
+    svg = svg_path.read_text(encoding="utf-8") if svg_path.exists() else None
+    return codes[f"{name} {slug}"], out, svg
+
+
+@pytest.mark.parametrize("name,slug", CASES, ids=[f"{n}-{s}" for n, s in CASES])
+def test_cli_output_matches_golden(name, slug, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_case(name, slug) == _expected(name, slug)
+
+
+def write_golden() -> None:
+    codes = {}
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, slug in CASES:
+                code, out, svg = run_case(name, slug)
+                codes[f"{name} {slug}"] = code
+                (GOLDEN / f"{name}.{slug}.out").write_text(out, encoding="utf-8")
+                if svg is not None:
+                    (GOLDEN / f"{name}.{slug}.svg").write_text(svg, encoding="utf-8")
+        finally:
+            os.chdir(cwd)
+    (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        raise SystemExit("usage: test_golden_cli.py --write")
+    write_golden()

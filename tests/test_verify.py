@@ -4,6 +4,11 @@ from halfgrids import linkdiag
 from halfgrids.verify import CheckResult, Report, verify_suite
 
 
+@pytest.fixture(scope="module")
+def default_report():
+    return verify_suite(5)
+
+
 class TestVerifySuite:
     def test_trivial_scale(self):
         report = verify_suite(1)
@@ -11,15 +16,15 @@ class TestVerifySuite:
         names = {r.name for r in report.results}
         assert "writhe-zero" in names and "presentation-equality" in names
 
-    def test_default_scale_passes(self):
-        report = verify_suite(5)
+    def test_default_scale_passes(self, default_report):
+        report = default_report
         assert report.ok
         for r in report.results:
             assert r.instances > 0, r.name
             assert r.counterexample is None
 
-    def test_instance_counts_follow_catalan(self):
-        report = verify_suite(5)
+    def test_instance_counts_follow_catalan(self, default_report):
+        report = default_report
         by_name = {r.name: r for r in report.results}
         # one instance per tree: 1 + 1 + 2 + 5 + 14
         assert by_name["spanning-cardinalities"].instances == 23
