@@ -141,15 +141,18 @@ def cmd_invariants(args) -> int:
 
 def cmd_group(args) -> int:
     if args.grid is not None:
-        pres = linkgroup.grid_presentation(_grid(args))
+        g = _grid(args)
+        pres, edges = linkgroup.grid_presentation(g), linkgroup.grid_relation_edges(g)
     else:
-        plus, minus = _half_grids(args)
-        pres = linkgroup.half_grid_presentation(perm_encode(plus), perm_encode(minus))
+        sigmas = [perm_encode(h) for h in _half_grids(args)]
+        pres = linkgroup.half_grid_presentation(*sigmas)
+        edges = linkgroup.half_grid_relation_edges(*sigmas)
     if args.gap:
         sys.stdout.write(linkgroup.format_presentation_gap(pres))
     else:
         print(linkgroup.format_presentation(pres))
-        free_rank, torsion = linkgroup.abelianization(pres)
+        # the relators' differences form a signed graph; no matrix is built
+        free_rank, torsion = linkgroup.signed_graph_abelianization(pres.generator_count, edges)
         torsion_text = ",".join(map(str, torsion)) or "none"
         print(f"abelianization: free rank {free_rank}, torsion {torsion_text}")
     return 0

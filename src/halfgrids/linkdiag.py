@@ -466,9 +466,7 @@ def render_svg(obj: GridDiagram | HalfGrid) -> str:
     lines = []
     for c, ((lo, hi), ks) in enumerate(zip(d.spans, d.col_crossings), start=1):
         y_stops = [py(lo)]
-        # top crossing first, as the output has always had it; a column with
-        # two or more crossings thus gets overlapping lines (a known defect)
-        for k in reversed(ks):
+        for k in ks:  # bottom to top, as the column runs from its lower mark
             r = d.positions[k][1]
             y_stops.extend([py(r) + gap, py(r) - gap])
         y_stops.append(py(hi))

@@ -4,16 +4,24 @@ Generators correspond to vertical segments (one per column); every relator
 is a positive word set equal to the identity.  Words carry signed letters so
 the type extends to general presentations, but everything produced here is
 positive.
+
+Subtracting each relator of a grid or half grid presentation from the next
+leaves relations x_a + s*x_b with s = +1 or -1, so their abelianization is
+that of a signed graph on the generators (`signed_graph_abelianization`).
+General presentations go through the Smith normal form (`abelianization`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .errors import DegreeMismatch
 from .halfgrid import GridDiagram, Permutation
 
 Word = tuple[int, ...]  # signed generator indices; positive = the generator
+Edge = tuple[int, int, int]  # (a, b, s): the relation x_a + s*x_b, s = +1 or -1
 
 
 @dataclass(frozen=True)
@@ -22,10 +30,11 @@ class GroupPresentation:
     relators: tuple[Word, ...]
 
     def __post_init__(self):
+        g = self.generator_count
         for word in self.relators:
-            for letter in word:
-                if not 1 <= abs(letter) <= self.generator_count:
-                    raise ValueError(f"letter {letter} out of range")
+            if word and (min(word) < -g or max(word) > g or 0 in word):
+                bad = next(x for x in word if not 1 <= abs(x) <= g)
+                raise ValueError(f"letter {bad} out of range")
 
     def sorted_relators(self) -> tuple[Word, ...]:
         """Canonical order: by length, then lexicographically."""
@@ -37,33 +46,74 @@ class GroupPresentation:
 
 def grid_presentation(g: GridDiagram) -> GroupPresentation:
     """One generator per column; relator j lists, left to right, the columns
-    whose vertical segment crosses the horizontal line between rows j, j+1."""
-    m = g.size
-    spans = {c: g.column_rows(c) for c in range(1, m + 1)}
+    whose vertical segment crosses the horizontal line between rows j, j+1.
+
+    A sweep up the rows: relator j is relator j-1 with the columns whose
+    span starts at row j inserted and those whose span ends there removed.
+    """
+    active: list[int] = []
+    started = bytearray(g.size + 1)
     relators = []
-    for j in range(1, m):
-        word = tuple(c for c in range(1, m + 1) if spans[c][0] <= j < spans[c][1])
-        relators.append(word)
-    return GroupPresentation(m, tuple(relators))
+    for x, o in zip(g.x_cols[:-1], g.o_cols[:-1]):  # row m only closes columns
+        for c in (x, o):
+            if started[c]:
+                del active[bisect_left(active, c)]
+            else:
+                started[c] = 1
+                insort(active, c)
+        relators.append(tuple(active))
+    return GroupPresentation(g.size, tuple(relators))
+
+
+def grid_relation_edges(g: GridDiagram) -> list[Edge]:
+    """Relator j minus relator j-1 as an edge between the two marked columns
+    of row j, for j = 1..m-1; a mark counts +1 where its column's span starts
+    at row j and -1 where it ends, so s is +1 when both marks agree."""
+    started = bytearray(g.size + 1)
+    edges = []
+    for x, o in zip(g.x_cols[:-1], g.o_cols[:-1]):
+        edges.append((x, o, 1 if started[x] == started[o] else -1))
+        started[x] = started[o] = 1
+    return edges
 
 
 def half_grid_presentation(sigma_plus: Permutation, sigma_minus: Permutation) -> GroupPresentation:
     """2n generators; the full word x1..x2n, then for each permutation and
     each i = 1..n-1 the word left after deleting x_{sigma(1)}..x_{sigma(2i)}."""
+    n = _half_grid_rows(sigma_plus, sigma_minus)
+    full = tuple(range(1, 2 * n + 1))
+    relators = [full]
+    for sigma in (sigma_plus, sigma_minus):
+        kept = list(full)
+        for i in range(1, n):
+            for x in sigma.images[2 * i - 2 : 2 * i]:
+                del kept[bisect_left(kept, x)]
+            relators.append(tuple(kept))
+    return GroupPresentation(2 * n, tuple(relators))
+
+
+def half_grid_relation_edges(sigma_plus: Permutation, sigma_minus: Permutation) -> list[Edge]:
+    """The pairs (sigma(2i-1), sigma(2i)), i = 1..n, of both permutations,
+    all with s = +1.  Each relator minus the next is x_{sigma(2i-1)} +
+    x_{sigma(2i)}, and the full word is the sum of all n pairs of one
+    permutation, so the edges span the same relation lattice."""
+    n = _half_grid_rows(sigma_plus, sigma_minus)
+    edges = []
+    for sigma in (sigma_plus, sigma_minus):
+        images = sigma.images
+        edges.extend((images[2 * i], images[2 * i + 1], 1) for i in range(n))
+    return edges
+
+
+def _half_grid_rows(sigma_plus: Permutation, sigma_minus: Permutation) -> int:
+    """n for two permutations of 1..2n, or DegreeMismatch."""
     if sigma_plus.degree != sigma_minus.degree:
         raise DegreeMismatch(
             f"permutation degrees differ: {sigma_plus.degree} vs {sigma_minus.degree}"
         )
     if sigma_plus.degree % 2:
         raise DegreeMismatch("half grid permutations need even degree")
-    n = sigma_plus.degree // 2
-    full = tuple(range(1, 2 * n + 1))
-    relators = [full]
-    for sigma in (sigma_plus, sigma_minus):
-        for i in range(1, n):
-            gone = set(sigma.images[: 2 * i])
-            relators.append(tuple(x for x in full if x not in gone))
-    return GroupPresentation(2 * n, tuple(relators))
+    return sigma_plus.degree // 2
 
 
 def relation_matrix(p: GroupPresentation) -> list[list[int]]:
@@ -143,23 +193,75 @@ def abelianization(p: GroupPresentation) -> tuple[int, list[int]]:
     return free_rank, [d for d in nonzero if d > 1]
 
 
+def signed_graph_abelianization(
+    vertex_count: int, edges: Iterable[Edge]
+) -> tuple[int, list[int]]:
+    """(free rank, torsion coefficients > 1) of the abelian group on
+    x_1..x_{vertex_count} with one relation x_a + s*x_b per edge (a, b, s).
+
+    Union-find with a parity bit: x_v = (-1)^parity[v] * x_parent[v].  A
+    component whose edges all agree with the parities is balanced and gives
+    one Z; an edge that disagrees closes an odd cycle, 2*x_root = 0, and the
+    component gives Z/2.  About O(E alpha(V)) steps.
+    """
+    parent = list(range(vertex_count + 1))
+    parity = bytearray(vertex_count + 1)
+    size = [1] * (vertex_count + 1)
+    odd = bytearray(vertex_count + 1)  # on roots: the component has an odd cycle
+
+    def find(v: int) -> tuple[int, int]:
+        """(root, parity of v to it), hanging the path walked on the root."""
+        path = []
+        while parent[v] != v:
+            path.append(v)
+            v = parent[v]
+        p = 0
+        for u in reversed(path):  # nearest the root first
+            p ^= parity[u]
+            parity[u], parent[u] = p, v
+        return v, p
+
+    components = vertex_count
+    for a, b, s in edges:
+        if not (1 <= a <= vertex_count and 1 <= b <= vertex_count and s in (1, -1)):
+            raise ValueError(f"bad edge {(a, b, s)} on {vertex_count} vertices")
+        (ra, pa), (rb, pb) = find(a), find(b)
+        flip = pa ^ pb ^ (s == 1)  # x_a = -s*x_b sets parity(a) ^ parity(b)
+        if ra == rb:
+            odd[ra] |= flip
+            continue
+        if size[ra] < size[rb]:
+            ra, rb = rb, ra
+        parent[rb], parity[rb] = ra, flip
+        size[ra] += size[rb]
+        odd[ra] |= odd[rb]
+        components -= 1
+    odd_count = sum(odd[v] for v in range(1, vertex_count + 1) if parent[v] == v)
+    return components - odd_count, [2] * odd_count
+
+
 def format_presentation(p: GroupPresentation) -> str:
+    names = _letter_names(p.generator_count, "x")
     lines = [f"gens={p.generator_count}"]
-    for word in p.relators:
-        lines.append("rel: " + " ".join(_letter(x) for x in word))
+    lines.extend("rel: " + " ".join(map(names.__getitem__, word)) for word in p.relators)
     return "\n".join(lines)
 
 
 def format_presentation_gap(p: GroupPresentation) -> str:
     """Generic finitely-presented-group text form."""
-    rels = []
-    for word in p.relators:
-        rels.append("*".join(f"F.{x}" if x > 0 else f"F.{-x}^-1" for x in word) or "One(F)")
+    names = _letter_names(p.generator_count, "F.")
+    rels = ["*".join(map(names.__getitem__, word)) or "One(F)" for word in p.relators]
     return (
         f"F := FreeGroup({p.generator_count});;\n"
         f"G := F / [ {', '.join(rels)} ];\n"
     )
 
 
-def _letter(x: int) -> str:
-    return f"x{x}" if x > 0 else f"x{-x}^-1"
+def _letter_names(count: int, prefix: str) -> list[str]:
+    """Names indexed by signed letter: names[x] is the generator x for
+    x = 1..count, and names[-x], counted from the end, is its inverse."""
+    return [
+        "",
+        *(f"{prefix}{x}" for x in range(1, count + 1)),
+        *(f"{prefix}{x}^-1" for x in range(count, 0, -1)),
+    ]

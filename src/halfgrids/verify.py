@@ -25,7 +25,10 @@ from .linkdiag import LOOP, front_stats, half_grid_crossings, seifert_stats, wri
 from .linkgroup import (
     abelianization,
     grid_presentation,
+    grid_relation_edges,
     half_grid_presentation,
+    half_grid_relation_edges,
+    signed_graph_abelianization,
 )
 from .thompson import (
     TreePair,
@@ -128,6 +131,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
             "oriented-subgroup-closure",
             "presentation-equality",
             "abelianization-free-rank",
+            "abelianization-two-routes-agree",
             "relator-shape",
             "codec-roundtrip",
             "bracket-stabilization",
@@ -241,16 +245,26 @@ def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
 def _check_presentation(checks, n, t1, t2, a, b) -> None:
     where = lambda: f"trees {t1}, {t2}"  # noqa: E731
     g = assemble_unoriented(a, b)
+    sigmas = perm_encode(a), perm_encode(b)
     from_grid = grid_presentation(g)
-    from_perms = half_grid_presentation(perm_encode(a), perm_encode(b))
+    from_perms = half_grid_presentation(*sigmas)
     checks["presentation-equality"].record(
         from_grid.sorted_relators() == from_perms.sorted_relators(), where
     )
 
-    free_rank, torsion = abelianization(from_perms)
+    # the production route, against the independently traced components
+    structural = signed_graph_abelianization(2 * n, half_grid_relation_edges(*sigmas))
+    free_rank, torsion = structural
     comps, _ = linkdiag.components(g)
     checks["abelianization-free-rank"].record(
         free_rank == comps and not torsion, where
+    )
+    # both structural routes, against the Smith normal form oracle
+    checks["abelianization-two-routes-agree"].record(
+        structural
+        == signed_graph_abelianization(2 * n, grid_relation_edges(g))
+        == abelianization(from_perms),
+        where,
     )
 
     lengths = sorted(len(w) for w in from_perms.relators)

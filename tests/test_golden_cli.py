@@ -33,6 +33,8 @@ COMMANDS = {
     "export-unoriented": ("export", "--unoriented"),
     "export-rotate90": ("export", "--rotate90"),
     "group-grid": ("group", "--grid", "g.grid"),
+    "group": ("group",),
+    "group-gap": ("group", "--gap"),
 }
 CASES = [(name, slug) for name in INPUTS for slug in COMMANDS]
 

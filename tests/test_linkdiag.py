@@ -1,6 +1,9 @@
 import itertools
+import re
+from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from halfgrids.errors import TooManyCrossings, UnorientedDiagram
 from halfgrids.halfgrid import (
@@ -19,6 +22,7 @@ from halfgrids.linkdiag import (
     LaurentPoly,
     components,
     crossings,
+    diagram,
     framing_shift,
     front_stats,
     half_grid_crossings,
@@ -275,3 +279,52 @@ class TestRendering:
         assert one.count('x1="60" y1=') >= 2
         render_svg(TREFOIL_5X5)  # unoriented path also renders
         render_svg(HalfGrid(2, (2, 3), (4, 1)))
+
+
+_SVG_LINE = re.compile(r'<line x1="(-?\d+)" y1="(-?\d+)" x2="(-?\d+)" y2="(-?\d+)"')
+
+
+def _svg_column_segments(svg: str) -> dict[int, list[tuple[int, int]]]:
+    """The vertical line elements of an SVG drawing, as (top, bottom) y
+    pairs sorted from the top, keyed by x."""
+    cols = defaultdict(list)
+    for x1, y1, x2, y2 in (map(int, m) for m in _SVG_LINE.findall(svg)):
+        if x1 == x2 and y1 != y2:
+            cols[x1].append((min(y1, y2), max(y1, y2)))
+    return {x: sorted(segs) for x, segs in cols.items()}
+
+
+def _check_svg_columns(obj) -> None:
+    """Each column is its span cut by one gap of 10 at each crossing: the
+    pieces never overlap and add up to the span minus the gaps."""
+    d = diagram(obj)
+    segments = _svg_column_segments(render_svg(obj))
+    for c, ((lo, hi), ks) in enumerate(zip(d.spans, d.col_crossings), start=1):
+        segs = segments[20 * c]
+        assert len(segs) == len(ks) + 1
+        for (_, bottom), (top, _) in zip(segs, segs[1:]):
+            assert bottom < top, (c, segs)
+        assert sum(b - t for t, b in segs) == 20 * (hi - lo) - 10 * len(ks)
+
+
+class TestSvgColumns:
+    def test_example_column_three(self):
+        # two crossings, at rows 2 and 3, between the marks at rows 1 and 4
+        assert _svg_column_segments(render_svg(EXAMPLE_4X4))[60] == [(20, 35), (45, 55), (65, 80)]
+
+    def test_fixed_diagrams(self):
+        for obj in (EXAMPLE_4X4, TREFOIL_5X5, HalfGrid(2, (2, 3), (4, 1))):
+            _check_svg_columns(obj)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 12).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
+    def test_half_grids(self, images):
+        _check_svg_columns(perm_decode(parse_permutation(" ".join(map(str, images)))))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 12).flatmap(
+        lambda n: st.tuples(st.permutations(range(1, 2 * n + 1)), st.permutations(range(1, 2 * n + 1)))
+    ))
+    def test_stacked_grids(self, pair):
+        a, b = (perm_decode(parse_permutation(" ".join(map(str, p)))) for p in pair)
+        _check_svg_columns(assemble_unoriented(a, b))

@@ -1,11 +1,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfgrids.errors import DegreeMismatch
 from halfgrids.halfgrid import (
     GridDiagram,
+    Permutation,
     assemble_unoriented,
     half_grid_from_partition,
     parse_permutation,
@@ -18,17 +19,23 @@ from halfgrids.linkgroup import (
     format_presentation,
     format_presentation_gap,
     grid_presentation,
+    grid_relation_edges,
     half_grid_presentation,
+    half_grid_relation_edges,
     relation_matrix,
+    signed_graph_abelianization,
     smith_normal_form,
 )
 from halfgrids.thompson import enumerate_trees, partition_from_tree
+from test_diagram_oracle import oriented_grids, unoriented_grids
 
 UNKNOT = GridDiagram(2, (1, 2), (2, 1))
 # 5x5 trefoil grid reconstructed from its relator words
 TREFOIL_5X5 = GridDiagram(5, (1, 2, 1, 2, 3), (4, 5, 3, 4, 5), oriented=False)
 SIGMA_PLUS = parse_permutation("4 2 5 3 1 6")
 SIGMA_MINUS = parse_permutation("3 1 5 2 6 4")
+# three 2x2 unknots along the diagonal: a three-component unlink
+UNLINK_3 = GridDiagram(6, (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5))
 
 
 class TestGridPresentation:
@@ -95,8 +102,14 @@ class TestHalfGridPresentation:
                 assert lengths == want
 
     def test_letter_range_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^letter 3 out of range$"):
             GroupPresentation(2, ((1, 3),))
+        # the first bad letter of the first bad word is named
+        with pytest.raises(ValueError, match="^letter -5 out of range$"):
+            GroupPresentation(4, ((1, 2), (1, -5, 7)))
+        with pytest.raises(ValueError, match="^letter 0 out of range$"):
+            GroupPresentation(4, ((), (2, 0)))
+        GroupPresentation(4, ((), (-4, 4, -1, 1)))
 
 
 class TestSmithNormalForm:
@@ -177,6 +190,111 @@ class TestAbelianization:
                 assert torsion == []
 
 
+def _perm_pairs(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(*[st.permutations(range(1, 2 * n + 1))] * 2)
+    )
+
+
+@st.composite
+def signed_graphs(draw, max_vertices=10, max_edges=16):
+    """(vertex count, edges (a, b, s) with a != b and s = +1 or -1)."""
+    count = draw(st.integers(2, max_vertices))
+    vertex = st.integers(1, count)
+    edge = st.tuples(vertex, vertex, st.sampled_from((1, -1))).filter(lambda e: e[0] != e[1])
+    return count, draw(st.lists(edge, max_size=max_edges))
+
+
+def _presentation(count, edges):
+    """The signed graph as relators x_a x_b^s."""
+    return GroupPresentation(count, tuple((a, s * b) for a, b, s in edges))
+
+
+def _sympy_abelianization(count, rows):
+    """(free rank, torsion) from sympy's Smith normal form."""
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    d = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+    nonzero = [abs(int(d[i, i])) for i in range(min(d.shape)) if d[i, i]]
+    return count - len(nonzero), sorted(x for x in nonzero if x > 1)
+
+
+class TestStructuralAbelianization:
+    """The signed-graph route against the Smith normal form oracle."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_perm_pairs(8))
+    def test_half_grid_matches_snf(self, pair):
+        sp, sm = (Permutation(tuple(p)) for p in pair)
+        structural = signed_graph_abelianization(sp.degree, half_grid_relation_edges(sp, sm))
+        assert structural == abelianization(half_grid_presentation(sp, sm))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(oriented_grids(12), unoriented_grids(12)))
+    def test_grid_matches_snf(self, g):
+        structural = signed_graph_abelianization(g.size, grid_relation_edges(g))
+        assert structural == abelianization(grid_presentation(g))
+
+    @settings(max_examples=300, deadline=None)
+    @given(signed_graphs())
+    @example((3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]))  # odd triangle: Z/2
+    @example((4, [(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 1, -1)]))  # balanced square
+    # an odd triangle hung below a larger balanced path keeps its Z/2
+    @example((7, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1), (3, 4, 1)]))
+    def test_signed_graph_matches_snf(self, graph):
+        count, edges = graph
+        assert signed_graph_abelianization(count, edges) == abelianization(
+            _presentation(count, edges)
+        )
+
+    def test_components(self):
+        edges = [
+            (1, 2, 1), (2, 3, 1), (3, 1, 1),  # odd cycle: Z/2
+            (4, 5, -1), (5, 6, 1), (6, 4, 1),  # balanced: Z
+            (8, 9, 1), (9, 8, 1),  # a doubled edge is balanced: Z
+        ]  # and 7 is isolated: Z
+        assert signed_graph_abelianization(9, edges) == (3, [2])
+        assert signed_graph_abelianization(9, edges + [(4, 4, 1)]) == (2, [2, 2])
+        assert signed_graph_abelianization(2, [(1, 1, -1)]) == (2, [])
+        path = [(4, 5, 1), (5, 6, 1), (6, 7, 1)]
+        assert signed_graph_abelianization(7, edges[:3] + path + [(3, 4, -1)]) == (0, [2])
+        assert signed_graph_abelianization(0, []) == (0, [])
+
+    def test_bad_edges(self):
+        for edge in ((0, 1, 1), (1, 3, 1), (1, 2, 0), (-1, 2, 1)):
+            with pytest.raises(ValueError):
+                signed_graph_abelianization(2, [edge])
+
+    def test_edges_of_the_trefoil(self):
+        assert half_grid_relation_edges(SIGMA_PLUS, SIGMA_MINUS) == [
+            (4, 2, 1), (5, 3, 1), (1, 6, 1), (3, 1, 1), (5, 2, 1), (6, 4, 1),
+        ]
+        # rows 1..4 of the 5x5 grid; each mark starts or ends its column
+        assert grid_relation_edges(TREFOIL_5X5) == [
+            (1, 4, 1), (2, 5, 1), (1, 3, -1), (2, 4, 1),
+        ]
+        with pytest.raises(DegreeMismatch):
+            half_grid_relation_edges(parse_permutation("2 1"), parse_permutation("2 1 3 4"))
+
+    def test_sympy_third_opinion(self):
+        graphs = [
+            (3, [(1, 2, 1), (2, 3, 1), (1, 3, 1)]),
+            (9, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 4, 1),
+                 (7, 8, -1), (8, 9, 1)]),
+        ]
+        cases = [(count, edges, _presentation(count, edges)) for count, edges in graphs] + [
+            (6, half_grid_relation_edges(SIGMA_PLUS, SIGMA_MINUS),
+             half_grid_presentation(SIGMA_PLUS, SIGMA_MINUS)),
+            (5, grid_relation_edges(TREFOIL_5X5), grid_presentation(TREFOIL_5X5)),
+            (6, grid_relation_edges(UNLINK_3), grid_presentation(UNLINK_3)),
+        ]
+        for count, edges, pres in cases:
+            want = _sympy_abelianization(count, relation_matrix(pres))
+            assert abelianization(pres) == want
+            assert signed_graph_abelianization(count, edges) == want
+
+
 class TestFormatting:
     def test_plain(self):
         pres = half_grid_presentation(SIGMA_PLUS, SIGMA_MINUS)
@@ -192,6 +310,13 @@ class TestFormatting:
         text = format_presentation_gap(pres)
         assert "FreeGroup(2)" in text
         assert "F.1*F.2" in text
+
+    def test_inverse_letters_and_empty_words(self):
+        pres = GroupPresentation(3, ((1, -2, 3), (), (-3,)))
+        assert format_presentation(pres) == "gens=3\nrel: x1 x2^-1 x3\nrel: \nrel: x3^-1"
+        assert format_presentation_gap(pres) == (
+            "F := FreeGroup(3);;\nG := F / [ F.1*F.2^-1*F.3, One(F), F.3^-1 ];\n"
+        )
 
     def test_relation_matrix(self):
         pres = GroupPresentation(3, ((1, 2, -3), (2, 2)))

@@ -1,6 +1,7 @@
 import pytest
 
-from halfgrids import linkdiag
+from halfgrids import linkdiag, verify
+from halfgrids.linkgroup import half_grid_relation_edges
 from halfgrids.verify import CheckResult, Report, verify_suite
 
 
@@ -31,6 +32,7 @@ class TestVerifySuite:
         assert by_name["half-grid-validity"].instances == 23
         # one instance per same-size tree pair: 1 + 1 + 4 + 25 + 196
         assert by_name["presentation-equality"].instances == 227
+        assert by_name["abelianization-two-routes-agree"].instances == 227
         assert by_name["dual-membership-agreement"].instances == 227
 
     def test_bounds(self):
@@ -69,3 +71,15 @@ class TestVerifySuite:
         failed = by_name["top-half-crossings-positive"]
         assert not failed.passed
         assert failed.counterexample is not None
+
+    def test_broken_structural_abelianization_is_caught(self, monkeypatch):
+        # keeping only the edges of sigma_plus gives free rank n, which the
+        # component count and the Smith normal form oracle both reject
+        monkeypatch.setattr(
+            verify,
+            "half_grid_relation_edges",
+            lambda sp, sm: half_grid_relation_edges(sp, sm)[: sp.degree // 2],
+        )
+        by_name = {r.name: r for r in verify_suite(3).results}
+        assert not by_name["abelianization-free-rank"].passed
+        assert not by_name["abelianization-two-routes-agree"].passed
