@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from . import linkdiag, linkgroup, verify
 from .dyadic import parse_partition
@@ -179,7 +180,9 @@ def cmd_export(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="halfgrids",
         description="half grid diagrams, grid diagrams and their link invariants",

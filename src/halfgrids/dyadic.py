@@ -1,8 +1,12 @@
 """Exact dyadic rationals, standard dyadic intervals and partitions.
 
 Everything here is an immutable value; no floats anywhere.  All breakpoints
-live in [0,1] and all exponents are capped by DEPTH_CAP so integer widths
-stay bounded.
+live in [0,1].  DEPTH_CAP is a stated input bound of this layer: a dyadic,
+an interval or a partition that needs an exponent above it raises
+DepthExceeded.  Python integers would need no such cap; it keeps inputs,
+outputs and the half grids built from partitions to a documented size.
+Trees and tree pairs (thompson) have no depth bound of their own; they meet
+the cap only when turned into breakpoints or when a map value is computed.
 """
 
 from __future__ import annotations
@@ -32,9 +36,11 @@ class Dyadic:
         if self.exp < 0:
             raise ValueError("exponent must be non-negative")
         num, exp = self.num, self.exp
-        while exp > 0 and num % 2 == 0:
-            num //= 2
-            exp -= 1
+        if exp > 0 and num % 2 == 0:
+            # strip min(exp, trailing zero bits) factors of two at once
+            shift = exp if num == 0 else min(exp, (num & -num).bit_length() - 1)
+            num >>= shift
+            exp -= shift
         _check_depth(exp)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "exp", exp)

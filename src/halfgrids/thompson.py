@@ -4,6 +4,11 @@ A tree pair (top, bottom) with equal leaf counts stands for the PL
 homeomorphism of [0,1] sending the top partition's breakpoints to the
 bottom's, linearly in between.  Pairs coming out of the group operations
 are always reduced.
+
+A tree is the tuple of its leaf depths, left to right: a leaf of depth d
+and index k is the standard dyadic interval [k/2^d, (k+1)/2^d].  Every
+operation is one linear scan over these tuples without recursion, so trees
+of any depth work; only breakpoints and map values meet DEPTH_CAP.
 """
 
 from __future__ import annotations
@@ -11,206 +16,174 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .dyadic import (
-    DEPTH_CAP,
-    Dyadic,
-    SdInterval,
-    SdPartition,
-    ZERO,
-    ONE,
-    e_points,
-    point_sign,
-)
+from .dyadic import DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, e_points, point_sign
 from .errors import DepthExceeded, NotARefinement, ParseError
+
+
+def _indices(depths) -> list[int]:
+    """Index k of each leaf at its own depth d, as an exact int: the leaf is
+    [k/2^d, (k+1)/2^d].  Raises ValueError unless these intervals tile
+    [0,1] left to right, that is, unless the depths are a binary tree's."""
+    if not depths or min(depths) < 0:
+        raise ValueError("not the leaf depths of a binary tree")
+    out = []
+    k = prev = 0  # k/2^prev is the left end of the next leaf
+    for d in depths:
+        if d >= prev:
+            k <<= d - prev
+        elif k & ((1 << (prev - d)) - 1):
+            raise ValueError("not the leaf depths of a binary tree")
+        else:
+            k >>= prev - d
+        out.append(k)
+        k += 1
+        prev = d
+    if k != 1 << prev:
+        raise ValueError("not the leaf depths of a binary tree")
+    return out
+
+
+def _closes(depths) -> list[int]:
+    """Per leaf, how many subtrees end at it: its run of right-child steps
+    upward, the number of trailing 1-bits of its index."""
+    return [(k ^ (k + 1)).bit_length() - 1 for k in _indices(depths)]
 
 
 @dataclass(frozen=True)
 class Tree:
-    """A full binary tree; left and right are both None (leaf) or both set."""
+    """A full binary tree, given by the depths of its leaves left to right."""
 
-    left: "Tree | None" = None
-    right: "Tree | None" = None
+    depths: tuple[int, ...]
 
     def __post_init__(self):
-        if (self.left is None) != (self.right is None):
-            raise ValueError("node needs both children")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def leaf_count(self) -> int:
-        if self.is_leaf:
-            return 1
-        return self.left.leaf_count() + self.right.leaf_count()
-
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+        object.__setattr__(self, "depths", tuple(self.depths))
+        _indices(self.depths)
 
     def __str__(self) -> str:
         return format_tree(self)
 
 
-LEAF = Tree()
+LEAF = Tree((0,))
 
 
 def node(left: Tree, right: Tree) -> Tree:
-    return Tree(left, right)
+    return Tree(tuple(d + 1 for d in left.depths + right.depths))
 
 
 def format_tree(t: Tree) -> str:
-    if t.is_leaf:
-        return "."
-    return f"({format_tree(t.left)}{format_tree(t.right)})"
+    parts = []
+    open_ = 0
+    for d, c in zip(t.depths, _closes(t.depths)):
+        parts.append("(" * (d - open_) + "." + ")" * c)
+        open_ = d - c
+    return "".join(parts)
 
 
 def parse_tree(text: str) -> Tree:
-    tree, rest = _parse_tree_prefix(text)
-    if rest:
-        raise ParseError(f"trailing characters {rest!r} after tree")
-    return tree
-
-
-def _parse_tree_prefix(text: str) -> tuple[Tree, str]:
-    if not text:
-        raise ParseError("unexpected end of tree text")
-    if text[0] == ".":
-        return LEAF, text[1:]
-    if text[0] != "(":
-        raise ParseError(f"unexpected character {text[0]!r} in tree")
-    left, rest = _parse_tree_prefix(text[1:])
-    right, rest = _parse_tree_prefix(rest)
-    if not rest or rest[0] != ")":
-        raise ParseError("missing ')' in tree")
-    return node(left, right), rest[1:]
+    depths: list[int] = []
+    filled: list[bool] = []  # per open '(': has its left child been read?
+    pos, end = 0, len(text)
+    while True:  # read one subtree starting at pos
+        if pos == end:
+            raise ParseError("unexpected end of tree text")
+        ch = text[pos]
+        pos += 1
+        if ch == "(":
+            filled.append(False)
+            continue
+        if ch != ".":
+            raise ParseError(f"unexpected character {ch!r} in tree")
+        depths.append(len(filled))
+        while filled and filled[-1]:  # a right child ends its parent
+            if pos == end or text[pos] != ")":
+                raise ParseError("missing ')' in tree")
+            pos += 1
+            filled.pop()
+        if not filled:
+            break
+        filled[-1] = True
+    if pos < end:
+        raise ParseError(f"trailing characters {text[pos:]!r} after tree")
+    return Tree(tuple(depths))
 
 
 def tree_from_partition(p: SdPartition) -> Tree:
-    bps = set(p.breakpoints)
-
-    def build(iv: SdInterval) -> Tree:
-        from .dyadic import midpoint
-
-        mid = midpoint(iv)
-        if mid not in bps:
-            return LEAF
-        return node(
-            build(SdInterval(2 * iv.k, iv.m + 1)),
-            build(SdInterval(2 * iv.k + 1, iv.m + 1)),
-        )
-
-    from .dyadic import UNIT
-
-    return build(UNIT)
+    """Each subinterval of p is a leaf; its length 1/2^d gives the depth."""
+    bps = p.breakpoints
+    return Tree(tuple((b - a).exp for a, b in zip(bps, bps[1:])))
 
 
 def partition_from_tree(t: Tree) -> SdPartition:
-    if t.depth() > DEPTH_CAP:
+    if max(t.depths) > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    points: list[Dyadic] = [ZERO]
-
-    def walk(sub: Tree, lo: Dyadic, hi: Dyadic) -> None:
-        if sub.is_leaf:
-            points.append(hi)
-            return
-        mid = (lo + hi).mul_pow2(-1)
-        walk(sub.left, lo, mid)
-        walk(sub.right, mid, hi)
-
-    walk(t, ZERO, ONE)
-    return SdPartition(tuple(points))
+    lows = (Dyadic(k, d) for k, d in zip(_indices(t.depths), t.depths))
+    return SdPartition((*lows, ONE))
 
 
 def leaf_signs(t: Tree) -> tuple[str, ...]:
-    """Sign per leaf, left to right: root +, left child inherits, right flips."""
-    signs: list[str] = []
+    """Sign per leaf, left to right: root +, left child inherits, right flips.
 
-    def walk(sub: Tree, s: str) -> None:
-        if sub.is_leaf:
-            signs.append(s)
-            return
-        walk(sub.left, s)
-        walk(sub.right, "-" if s == "+" else "+")
-
-    walk(t, "+")
-    out = tuple(signs)
-    assert out[0] == "+" and (len(out) < 2 or out[1] == "-")
-    return out
+    That is '-' when the leaf's index has an odd number of 1-bits; adding 1
+    to an index with c trailing 1-bits changes that count by 1 - c."""
+    signs = []
+    odd = 0
+    for c in _closes(t.depths):
+        signs.append("-" if odd else "+")
+        odd ^= (1 - c) & 1
+    return tuple(signs)
 
 
-def caret_leaf_indices(t: Tree) -> set[int]:
-    """Leaf indices i such that leaves i and i+1 form a caret (0-based)."""
-    carets: set[int] = set()
+def _align(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """Leaves of the least common refinement of two trees, as (depth, index
+    of the leaf of a that holds it, index of the leaf of b that holds it).
 
-    def walk(sub: Tree, offset: int) -> int:
-        if sub.is_leaf:
-            return 1
-        if sub.left.is_leaf and sub.right.is_leaf:
-            carets.add(offset)
-            return 2
-        nl = walk(sub.left, offset)
-        return nl + walk(sub.right, offset + nl)
-
-    walk(t, 0)
-    return carets
-
-
-def remove_caret(t: Tree, i: int) -> Tree:
-    """Collapse the caret occupying leaves i, i+1 into a single leaf."""
-
-    def walk(sub: Tree, offset: int) -> Tree:
-        if sub.is_leaf:
-            return sub
-        if offset == i and sub.left.is_leaf and sub.right.is_leaf:
-            return LEAF
-        nl = sub.left.leaf_count()
-        if i < offset + nl:
-            return node(walk(sub.left, offset), sub.right)
-        return node(sub.left, walk(sub.right, offset + nl))
-
-    return walk(t, 0)
+    Walks both leaf sequences together; where one leaf is coarser it is
+    split on a stack of pending pieces, smallest (leftmost) on top."""
+    out = []
+    i = j = 0
+    pend_a: list[int] = []
+    pend_b: list[int] = []
+    x, y = a[0], b[0]
+    while True:
+        if x < y:
+            pend_a.extend(range(x + 1, y + 1))
+        elif y < x:
+            pend_b.extend(range(y + 1, x + 1))
+        out.append((max(x, y), i, j))
+        if pend_a:
+            x = pend_a.pop()
+        else:
+            i += 1
+            if i == len(a):
+                return out
+            x = a[i]
+        if pend_b:
+            y = pend_b.pop()
+        else:
+            j += 1
+            y = b[j]
 
 
 def graft(t: Tree, grafts: list[Tree]) -> Tree:
     """Replace leaf i with grafts[i], for all leaves left to right."""
-    it = iter(grafts)
-
-    def walk(sub: Tree) -> Tree:
-        if sub.is_leaf:
-            return next(it)
-        return node(walk(sub.left), walk(sub.right))
-
-    out = walk(t)
-    assert next(it, None) is None
-    return out
+    if len(grafts) != len(t.depths):
+        raise ValueError("need one graft per leaf")
+    return Tree(tuple(d + e for d, g in zip(t.depths, grafts) for e in g.depths))
 
 
 def tree_union(a: Tree, b: Tree) -> Tree:
     """Least common refinement of two trees."""
-    if a.is_leaf:
-        return b
-    if b.is_leaf:
-        return a
-    return node(tree_union(a.left, b.left), tree_union(a.right, b.right))
+    return Tree(tuple(d for d, _, _ in _align(a.depths, b.depths)))
 
 
 def grafts_between(base: Tree, refined: Tree) -> list[Tree]:
     """Subtrees hanging below each leaf of base inside refined."""
-    out: list[Tree] = []
-
-    def walk(b: Tree, r: Tree) -> None:
-        if b.is_leaf:
-            out.append(r)
-            return
-        if r.is_leaf:
+    pieces: list[list[int]] = [[] for _ in base.depths]
+    for d, i, j in _align(base.depths, refined.depths):
+        if d != refined.depths[j]:
             raise NotARefinement("target does not refine the base tree")
-        walk(b.left, r.left)
-        walk(b.right, r.right)
-
-    walk(base, refined)
-    return out
+        pieces[i].append(d - base.depths[i])
+    return [Tree(tuple(p)) for p in pieces]
 
 
 @dataclass(frozen=True)
@@ -222,12 +195,12 @@ class TreePair:
     reduced: bool = False
 
     def __post_init__(self):
-        if self.top.leaf_count() != self.bottom.leaf_count():
+        if len(self.top.depths) != len(self.bottom.depths):
             raise ValueError("tree pair needs equal leaf counts")
 
     @property
     def n(self) -> int:
-        return self.top.leaf_count()
+        return len(self.top.depths)
 
     def __str__(self) -> str:
         return f"{format_tree(self.top)}|{format_tree(self.bottom)}"
@@ -244,18 +217,25 @@ def parse_pair(text: str) -> TreePair:
 
 
 def reduce_pair(g: TreePair) -> TreePair:
-    """Remove matching carets until none remain; the result is unique."""
+    """Remove common carets in one stack scan; the result is unique.
+
+    Leaves i, i+1 form a caret when their depths are equal and the left
+    index is even.  Each stack entry is a subtree in both trees; the top two
+    merge while they form a caret in both."""
     if g.reduced:
         return g
-    top, bottom = g.top, g.bottom
-    while True:
-        common = caret_leaf_indices(top) & caret_leaf_indices(bottom)
-        if not common:
-            break
-        i = min(common)
-        top = remove_caret(top, i)
-        bottom = remove_caret(bottom, i)
-    return TreePair(top, bottom, reduced=True)
+    top, bottom = g.top.depths, g.bottom.depths
+    stack: list[tuple[int, int, int, int]] = []
+    for dt, kt, db, kb in zip(top, _indices(top), bottom, _indices(bottom)):
+        while stack:
+            pt, pkt, pb, pkb = stack[-1]
+            if pt != dt or pb != db or (pkt | pkb) & 1:
+                break
+            stack.pop()
+            dt, kt, db, kb = dt - 1, pkt >> 1, db - 1, pkb >> 1
+        stack.append((dt, kt, db, kb))
+    tops, _, bottoms, _ = zip(*stack)
+    return TreePair(Tree(tops), Tree(bottoms), reduced=True)
 
 
 def refine_to(g: TreePair, target_bottom: Tree) -> TreePair:
@@ -269,23 +249,31 @@ def inverse(g: TreePair) -> TreePair:
 
 
 def multiply(g: TreePair, h: TreePair) -> TreePair:
-    """Composition: apply g first, then h.  Result is reduced."""
-    common = tree_union(g.bottom, h.top)
-    g2 = refine_to(g, common)
-    h2 = inverse(refine_to(inverse(h), common))
-    return reduce_pair(TreePair(g2.top, h2.bottom))
+    """Composition: apply g first, then h.  Result is reduced.
+
+    Over the union of g's bottom and h's top, a leaf d levels below leaf i
+    of g's bottom sits d levels below leaf i of g's top too (likewise for h)."""
+    gt, gb, ht, hb = g.top.depths, g.bottom.depths, h.top.depths, h.bottom.depths
+    top, bottom = [], []
+    for d, i, j in _align(gb, ht):
+        top.append(gt[i] + d - gb[i])
+        bottom.append(hb[j] + d - ht[j])
+    return reduce_pair(TreePair(Tree(tuple(top)), Tree(tuple(bottom))))
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
     """Exact image of x under the PL map of g."""
     if not ZERO <= x <= ONE:
         raise ValueError("argument outside [0,1]")
-    src = partition_from_tree(g.top).subintervals()
-    dst = partition_from_tree(g.bottom).subintervals()
-    for a, b in zip(src, dst):
-        if a.lo <= x <= a.hi:
-            return b.lo + (x - a.lo).mul_pow2(a.m - b.m)
-    raise AssertionError("unreachable: partitions cover [0,1]")
+    top, bottom = g.top.depths, g.bottom.depths
+    if max(top) > DEPTH_CAP or max(bottom) > DEPTH_CAP:
+        raise DepthExceeded("tree too deep for dyadic breakpoints")
+    num, e = x.num, x.exp
+    for ka, da, kb, db in zip(_indices(top), top, _indices(bottom), bottom):
+        if num << da <= (ka + 1) << e:  # first top leaf whose right end is >= x
+            # kb/2^db + (x - ka/2^da) * 2^(da - db)
+            return Dyadic(((kb - ka) << e) + (num << da), db + e)
+    raise AssertionError("unreachable: the leaves cover [0,1]")
 
 
 def is_oriented(g: TreePair) -> bool:
@@ -304,22 +292,33 @@ def is_oriented_via_points(g: TreePair) -> bool:
 
 @lru_cache(maxsize=None)
 def enumerate_trees(n: int) -> tuple[Tree, ...]:
-    """All binary trees with n leaves, in recursive split order (Catalan)."""
+    """All binary trees with n leaves, in split order (Catalan): by the
+    left subtree's size, then left subtree, then right subtree."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    if n == 1:
-        return (LEAF,)
-    out = []
-    for i in range(1, n):
-        for left in enumerate_trees(i):
-            for right in enumerate_trees(n - i):
-                out.append(node(left, right))
-    return tuple(out)
+    by_size: list[list[tuple[int, ...]]] = [[], [(0,)]]
+    for size in range(2, n + 1):
+        by_size.append([
+            tuple(d + 1 for d in left + right)
+            for i in range(1, size)
+            for left in by_size[i]
+            for right in by_size[size - i]
+        ])
+    return tuple(Tree(d) for d in by_size[n])
 
 
 def random_tree(n: int, rng) -> Tree:
-    """Uniform over split positions (not uniform Catalan; fine for fuzzing)."""
-    if n == 1:
-        return LEAF
-    i = rng.randint(1, n - 1)
-    return node(random_tree(i, rng), random_tree(n - i, rng))
+    """Uniform over split positions (not uniform Catalan; fine for fuzzing).
+
+    Splits in preorder, left subtree first, with its own stack."""
+    depths = []
+    todo = [(n, 0)]  # (leaf count, depth) of subtrees still to split
+    while todo:
+        size, d = todo.pop()
+        if size == 1:
+            depths.append(d)
+            continue
+        i = rng.randint(1, size - 1)
+        todo.append((size - i, d + 1))
+        todo.append((i, d + 1))
+    return Tree(tuple(depths))

@@ -141,7 +141,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
     converse_hits = 0
 
     for t in trees:
-        n = t.leaf_count()
+        n = len(t.depths)
         p = partitions[t]
         spanning = spanning_intervals(p)
         pos = sum(1 for iv in spanning if sign(iv) == "+")
@@ -174,7 +174,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
 
     by_n: dict[int, list[Tree]] = {}
     for t in trees:
-        by_n.setdefault(t.leaf_count(), []).append(t)
+        by_n.setdefault(len(t.depths), []).append(t)
 
     for n, group in sorted(by_n.items()):
         for t1, t2 in itertools.product(group, repeat=2):

@@ -1,6 +1,12 @@
-import pytest
+import contextlib
+import io
+import random
 
-from halfgrids.cli import main
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from halfgrids.cli import build_parser, main
+from halfgrids.thompson import partition_from_tree, random_tree
 
 
 def run(capsys, *argv):
@@ -176,3 +182,65 @@ class TestVerifyCommand:
     def test_bad_bound_is_domain_error(self, capsys):
         code, _, err = run(capsys, "verify", "--max-leaves", "12")
         assert code == 1
+
+
+class TestDeepTrees:
+    def test_deep_comb_is_domain_error(self, capsys):
+        comb = "(." * 1200 + "." + ")" * 1200
+        code, out, err = run(capsys, "group", "--trees", f"{comb}|{comb}")
+        assert code == 1
+        assert out == ""
+        assert err == "error: tree too deep for dyadic breakpoints\n"
+
+
+class TestParserReuse:
+    def test_parser_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_second_call_sees_none_of_the_first_calls_options(self, capsys):
+        trefoil = ("--perms", "4 2 5 3 1 6", "3 1 5 2 6 4")
+        code, out, _ = run(capsys, "render", "--ascii-only", "--unoriented", *trefoil)
+        assert code == 0 and all(ord(ch) < 128 for ch in out)
+        # neither --unoriented nor --perms carries over
+        code, _, err = run(capsys, "build", *trefoil)
+        assert code == 1 and "not compatible" in err
+        code, out, _ = run(capsys, "render", "--trees", "(..)|(..)")
+        assert code == 0 and out == "O─X \n│X─O\n│O─X\nX─O \n"
+        code, out, _ = run(capsys, "group", "--gap", *trefoil)
+        assert code == 0 and out.startswith("F := FreeGroup(6);;")
+        code, out, _ = run(capsys, "group", *trefoil)
+        assert code == 0 and out.startswith("gens=6\n")
+
+
+@st.composite
+def tree_sources(draw):
+    """--trees text: short random text, or a random well-formed pair."""
+    if draw(st.booleans()):
+        return ["--trees", draw(st.text(alphabet="().|x", max_size=16))]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return ["--trees", f"{random_tree(n, rng)}|{random_tree(m, rng)}"]
+
+
+@st.composite
+def partition_sources(draw):
+    """--partitions text: short random text, or random well-formed lists."""
+    if draw(st.booleans()):
+        text = st.text(alphabet="0123456789/,", max_size=16)
+        return ["--partitions", draw(text), draw(text)]
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    return ["--partitions", *(str(partition_from_tree(random_tree(k, rng))) for k in (n, m))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["build", "encode", "group"]), st.one_of(tree_sources(), partition_sources()))
+def test_fuzz_exit_codes(command, source):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *source])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert err.getvalue() == ""

@@ -200,3 +200,58 @@ class TestOriented:
         for g in oriented:
             for h in oriented:
                 assert is_oriented(multiply(g, h))
+
+
+def comb(depth):
+    """The right comb with depth + 1 leaves, built without recursion."""
+    return Tree(tuple(range(1, depth + 1)) + (depth,))
+
+
+class TestDepth:
+    """Depth bounds the dyadic layer only, never the tree algebra."""
+
+    def test_tree_holds_only_depths(self):
+        assert node(CARET, LEAF) == Tree((2, 2, 1))
+        assert format_tree(Tree((1, 2, 2))) == "(.(..))"
+        for bad in [(), (1,), (0, 0), (2, 1, 2), (1, 1, 1, 1), (-1,)]:
+            with pytest.raises(ValueError):
+                Tree(bad)
+
+    def test_deep_comb_without_recursion(self):
+        t = comb(5000)
+        g = TreePair(t, t)
+        assert reduce_pair(g) == IDENTITY
+        assert multiply(g, inverse(g)) == IDENTITY
+        text = str(g)
+        assert text == "(." * 5000 + "." + ")" * 5000 + "|" + text.partition("|")[0]
+        assert parse_pair(text) == g
+        assert leaf_signs(t)[-1] == ("-" if 5000 % 2 else "+")
+
+    def test_algebra_works_past_depth_cap(self):
+        t = comb(200)
+        flipped = Tree(tuple(reversed(t.depths)))
+        g = TreePair(t, flipped)
+        assert reduce_pair(g) == TreePair(t, flipped, reduced=True)
+        assert multiply(g, inverse(g)) == IDENTITY
+        assert multiply(inverse(g), g) == IDENTITY
+        assert multiply(multiply(g, g), inverse(g)) == reduce_pair(g)
+
+    def test_dyadic_layer_rejects_depth_cap_plus_one(self):
+        from halfgrids.dyadic import DEPTH_CAP
+        from halfgrids.errors import DepthExceeded
+
+        at_cap, past_cap = comb(DEPTH_CAP), comb(DEPTH_CAP + 1)
+        assert partition_from_tree(at_cap).n == DEPTH_CAP + 1
+        assert apply_map(TreePair(at_cap, at_cap), HALF) == HALF
+        with pytest.raises(DepthExceeded, match="tree too deep"):
+            partition_from_tree(past_cap)
+        balanced = Tree((6,) * 64)  # as many leaves as past_cap, depth 6
+        assert len(past_cap.depths) == 64
+        for g in (TreePair(past_cap, balanced), TreePair(balanced, past_cap)):
+            with pytest.raises(DepthExceeded, match="tree too deep"):
+                apply_map(g, HALF)
+        # a shallow pair whose image of a point needs exponent DEPTH_CAP + 1
+        x0 = parse_pair("(.(..))|((..).)")
+        assert apply_map(x0, Dyadic(1, DEPTH_CAP - 1)) == Dyadic(1, DEPTH_CAP)
+        with pytest.raises(DepthExceeded):
+            apply_map(x0, Dyadic(1, DEPTH_CAP))
