@@ -11,7 +11,6 @@ checks explicitly.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -321,6 +320,8 @@ class LaurentPoly:
         return LaurentPoly(out)
 
     def __pow__(self, k: int) -> "LaurentPoly":
+        if k < 0:
+            raise ValueError(f"negative power {k}: a Laurent polynomial has no inverse in general")
         out = LaurentPoly.monomial(1, 0)
         for _ in range(k):
             out = out * self
@@ -397,19 +398,103 @@ def _loops(d: PlanarDiagram, a_smoothed) -> int:
     return arc_count - merges + free_loops
 
 
+def _smooth(reach: tuple[int, ...], pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Smooth one crossing whose end i leads back to end reach[i] of the same
+    crossing, or out of it when reach[i] < 0.  Returns the loops that close
+    and the pairs of ends that the smoothing joins by a path."""
+    partner = [0] * 4
+    for p, q in pairs:
+        partner[p], partner[q] = q, p
+    seen = [False] * 4
+    joins = []
+    for start in range(4):
+        if reach[start] < 0 and not seen[start]:
+            i = start
+            while True:
+                j = partner[i]
+                seen[i] = seen[j] = True
+                if reach[j] < 0:
+                    break
+                i = reach[j]
+            joins.append((start, j))
+    loops = 0
+    for start in range(4):
+        loops += not seen[start]
+        i = start
+        while not seen[i]:
+            seen[i] = seen[partner[i]] = True
+            i = reach[partner[i]]
+    return loops, tuple(joins)
+
+
+def _reaches():
+    """Every way the four ends of a crossing can lead back to each other:
+    through no pair of ends, or one or both pairs of a pairing of the ends."""
+    for pairing in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
+        for used in ((), pairing[:1], pairing[1:], pairing):
+            reach = [-1] * 4
+            for i, j in used:
+                reach[i], reach[j] = j, i
+            yield tuple(reach)
+
+
+# reach -> (A-smoothing?, loops closed, ends joined) for the A and the B smoothing
+_SMOOTH = {
+    reach: tuple((a, *_smooth(reach, ends)) for a, ends in ((1, _A_ENDS), (0, _B_ENDS)))
+    for reach in _reaches()
+}
+_NO_MATE = 0xFF  # a bracket diagram has 2c <= 48 arcs, so one byte names any
+
+
 def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
-    """State-sum bracket of the unoriented reading, loop weight -A^2 - A^-2,
-    normalized so a crossingless unknot diagram gives 1."""
+    """Bracket of the unoriented reading, loop weight -A^2 - A^-2,
+    normalized so a crossingless unknot diagram gives 1.
+
+    Kauffman's state sum, contracted one crossing at a time in record order
+    (row by row, so a horizontal sweep).  An arc dangles while exactly one
+    of its ends is at a smoothed crossing.  The smoothings made so far join
+    the dangling arcs in pairs; smoothings that give the same pairing are
+    merged, keeping their state counts per (A-smoothings, closed loops).
+    The cost is exponential in the number of arcs a cut meets, not in the
+    crossing count."""
     c = len(_crossing_positions(g))
     if c > BRACKET_CAP:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
-    d = diagram(g)
-    states: Counter[tuple[int, int]] = Counter()  # (A-smoothings, loops) -> states
-    for state in range(1 << c):
-        smoothing = [state >> i & 1 for i in range(c)]
-        states[sum(smoothing), _loops(d, smoothing)] += 1
+    pd, arc_count, free_loops = diagram(g).arcs
+    stride = arc_count + 1  # histogram key: A-smoothings * stride + closed loops
+    met = [0] * arc_count  # ends of each arc at smoothed crossings
+    # pairing -> histogram; in a pairing, byte x is the arc joined to the
+    # dangling arc x, and _NO_MATE for an arc that does not dangle
+    states: dict[bytes, dict[int, int]] = {bytes([_NO_MATE] * arc_count): {0: 1}}
+    for arcs in pd:
+        old = [i for i, x in enumerate(arcs) if met[x]]
+        at = {arcs[i]: i for i in old}
+        fixed = [next((j for j in range(4) if j != i and arcs[j] == x), -1)
+                 for i, x in enumerate(arcs)]
+        for x in arcs:
+            met[x] += 1
+        merged: dict[bytes, dict[int, int]] = {}
+        for mate, counts in states.items():
+            reach, far = list(fixed), list(arcs)  # far: the arc an end leads out to
+            for i in old:
+                far[i] = mate[arcs[i]]
+                reach[i] = at.get(far[i], -1)
+            for a, loops, joins in _SMOOTH[tuple(reach)]:
+                m = bytearray(mate)
+                for i in old:
+                    m[arcs[i]] = _NO_MATE
+                for i, j in joins:
+                    m[far[i]], m[far[j]] = far[j], far[i]
+                out = merged.setdefault(bytes(m), {})
+                shift = a * stride + loops
+                for key, count in counts.items():
+                    out[key + shift] = out.get(key + shift, 0) + count
+        states = merged
+    (counts,) = states.values()
     total = LaurentPoly()
-    for (a_count, loops), count in states.items():
+    for key, count in counts.items():
+        a_count, loops = divmod(key, stride)
+        loops += free_loops
         total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
     return total
 

@@ -13,7 +13,7 @@ of any depth work; only breakpoints and map values meet DEPTH_CAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .dyadic import DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, e_points, point_sign
@@ -192,7 +192,7 @@ class TreePair:
 
     top: Tree
     bottom: Tree
-    reduced: bool = False
+    reduced: bool = field(default=False, compare=False)  # known reduced; not part of equality
 
     def __post_init__(self):
         if len(self.top.depths) != len(self.bottom.depths):

@@ -45,7 +45,7 @@ from .thompson import (
     reduce_pair,
 )
 
-BRACKET_CHECK_CAP = 12  # keep state sums small inside the harness
+BRACKET_CHECK_CAP = linkdiag.BRACKET_CAP  # every diagram the bracket accepts
 BRACKET_MIRROR_BUDGET = 300  # instance cap; enumeration order is fixed
 BRACKET_STAB_BUDGET = 200
 

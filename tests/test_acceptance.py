@@ -19,6 +19,7 @@ from halfgrids.halfgrid import (
     perm_encode,
 )
 from halfgrids.linkdiag import (
+    BRACKET_CAP,
     LaurentPoly,
     components,
     framing_shift,
@@ -298,7 +299,7 @@ def test_criterion_10_mirror_bracket(report):
         a = perm_decode(Permutation(tuple(pa)))
         b = perm_decode(Permutation(tuple(pb)))
         g = assemble_unoriented(a, b)
-        if len(_crossing_positions(g)) > 14:  # keep the 2^c state sum fast
+        if len(_crossing_positions(g)) > BRACKET_CAP:
             continue
         fwd = kauffman_bracket(g)
         bwd = kauffman_bracket(assemble_unoriented(b, a))

@@ -10,6 +10,7 @@ unoriented grids, random half grids and tree stacks.
 import contextlib
 import io
 import itertools
+from collections import Counter
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -26,12 +27,16 @@ from halfgrids.halfgrid import (
 )
 from halfgrids.linkdiag import (
     _A_PAIRS,
+    _A_ENDS,
+    _B_ENDS,
     _B_PAIRS,
     LOOP,
     LaurentPoly,
     _crossing_positions,
+    _loops,
     components,
     crossings,
+    diagram,
     front_stats,
     half_grid_crossings,
     kauffman_bracket,
@@ -41,6 +46,7 @@ from halfgrids.linkdiag import (
 from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, partition_from_tree
 
 EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
+RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
 
 
 # --- oracles -----------------------------------------------------------------
@@ -231,6 +237,21 @@ def oracle_bracket(g):
     return total
 
 
+def oracle_state_sum_bracket(g):
+    """Histogram state sum over the record's PD arcs: all 2^c smoothings,
+    each counted under its (A-smoothings, loops) pair."""
+    c = len(_crossing_positions(g))
+    d = diagram(g)
+    states = Counter()
+    for state in range(1 << c):
+        smoothing = [state >> i & 1 for i in range(c)]
+        states[sum(smoothing), _loops(d, smoothing)] += 1
+    total = LaurentPoly()
+    for (a_count, loops), count in states.items():
+        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
+    return total
+
+
 # --- inputs ------------------------------------------------------------------
 
 @st.composite
@@ -310,6 +331,26 @@ def test_half_grid_crossings_match_oracle(images):
 def test_bracket_matches_oracle(g):
     assume(len(oracle_crossing_positions(g)) <= 12)
     assert kauffman_bracket(g) == oracle_bracket(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(oriented_grids(7), unoriented_grids(7), tree_stacks(8)))
+def test_bracket_matches_state_sum(g):
+    assume(len(_crossing_positions(g)) <= 14)
+    assert kauffman_bracket(g) == oracle_state_sum_bracket(g)
+
+
+def test_bracket_with_an_arc_closing_at_its_own_crossing():
+    """A kink: one arc runs from one end of a crossing to the other end of
+    the same smoothing pair, so that smoothing closes a loop on the spot."""
+    kinked_unknot = GridDiagram(3, (1, 3, 2), (2, 1, 3))  # one crossing, B pairs
+    kinked_trefoil = GridDiagram(6, (1, 5, 2, 3, 4, 6), (3, 4, 5, 6, 1, 2))  # S, E of crossing 1
+    for g, pairs in ((kinked_unknot, _B_ENDS), (kinked_trefoil, _A_ENDS)):
+        pd, _, _ = diagram(g).arcs
+        assert any(arcs[p] == arcs[q] for arcs in pd for p, q in pairs)
+        assert kauffman_bracket(g) == oracle_state_sum_bracket(g) == oracle_bracket(g)
+    assert kauffman_bracket(kinked_unknot) == LaurentPoly({-3: -1})
+    assert kauffman_bracket(kinked_trefoil) == LaurentPoly({3: -1}) * RIGHT_TREFOIL_BRACKET
 
 
 def test_compatible_tree_stacks_match_oracles():

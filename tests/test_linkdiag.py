@@ -37,6 +37,7 @@ from halfgrids.thompson import (
     enumerate_trees,
     leaf_signs,
     node,
+    parse_pair,
     partition_from_tree,
 )
 
@@ -178,6 +179,8 @@ class TestLaurentPoly:
     def test_pow(self):
         assert LOOP ** 0 == LaurentPoly({0: 1})
         assert LOOP ** 2 == LaurentPoly({4: 1, 0: 2, -4: 1})
+        with pytest.raises(ValueError):
+            LOOP ** -1
 
     def test_framing_shift(self):
         p = RIGHT_TREFOIL_BRACKET
@@ -232,6 +235,17 @@ class TestKauffmanBracket:
                 fwd = kauffman_bracket(assemble_unoriented(h1, h2))
                 bwd = kauffman_bracket(assemble_unoriented(h2, h1))
                 assert bwd == fwd.mirror()
+
+    def test_tree_stack_at_the_crossing_cap(self):
+        pair = parse_pair("((((.((..).))(..))(..))((.(..))(..)))|"
+                          "(((.((((..)(..))(..))(.(..))))(..)).)")
+        a, b = (half_grid_from_partition(partition_from_tree(t)) for t in (pair.top, pair.bottom))
+        g = assemble(a, b)  # compatible: both trees have the same leaf signs
+        assert len(crossings(g)) == 2 * (pair.n - 1) == BRACKET_CAP
+        bracket = kauffman_bracket(g)
+        mu, _ = components(g)
+        assert abs(sum(bracket.coeffs.values())) == 2 ** (mu - 1)  # |<D>(A=1)|
+        assert kauffman_bracket(assemble_unoriented(b, a)) == bracket.mirror() != bracket
 
     def test_crossing_cap(self):
         m = 12

@@ -104,6 +104,10 @@ class TestTreePair:
         g = TreePair(node(CARET, LEAF), node(LEAF, CARET))
         assert reduce_pair(g) == TreePair(g.top, g.bottom, reduced=True)
 
+    def test_reduced_flag_is_not_part_of_equality(self):
+        assert parse_pair(".|.") == IDENTITY
+        assert len({parse_pair(".|."), IDENTITY}) == 1
+
     def test_reduce_idempotent(self):
         for g in all_pairs(5):
             r = reduce_pair(g)
