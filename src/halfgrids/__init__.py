@@ -23,6 +23,7 @@ from .halfgrid import (
     assemble,
     assemble_unoriented,
     half_grid_from_partition,
+    half_grid_from_tree,
     is_compatible,
     parse_grid,
     parse_half_grid,

@@ -20,7 +20,7 @@ from .halfgrid import (
     assemble_unoriented,
     format_grid,
     format_half_grid,
-    half_grid_from_partition,
+    half_grid_from_tree,
     is_compatible,
     parse_grid,
     parse_permutation,
@@ -28,7 +28,7 @@ from .halfgrid import (
     perm_encode,
     rotate90,
 )
-from .thompson import parse_pair, partition_from_tree
+from .thompson import parse_pair, tree_from_partition
 
 
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
@@ -48,13 +48,10 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
 def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
     if args.trees is not None:
         pair = parse_pair(args.trees)
-        return (
-            half_grid_from_partition(partition_from_tree(pair.top)),
-            half_grid_from_partition(partition_from_tree(pair.bottom)),
-        )
+        return half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
     if args.partitions is not None:
-        plus, minus = (parse_partition(text) for text in args.partitions)
-        return half_grid_from_partition(plus), half_grid_from_partition(minus)
+        plus, minus = (tree_from_partition(parse_partition(text)) for text in args.partitions)
+        return half_grid_from_tree(plus), half_grid_from_tree(minus)
     if args.perms is not None:
         sp, sm = (parse_permutation(text) for text in args.perms)
         return perm_decode(sp), perm_decode(sm)

@@ -6,7 +6,8 @@ an interval or a partition that needs an exponent above it raises
 DepthExceeded.  Python integers would need no such cap; it keeps inputs,
 outputs and the half grids built from partitions to a documented size.
 Trees and tree pairs (thompson) have no depth bound of their own; they meet
-the cap only when turned into breakpoints or when a map value is computed.
+the cap only when turned into breakpoints or half grids, or when a map
+value is computed.
 """
 
 from __future__ import annotations

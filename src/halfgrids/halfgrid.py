@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dyadic import SdPartition, conjugate, sign, spanning_intervals
-from .errors import Incompatible, NotAPermutation, ParseError, SizeMismatch
+from .dyadic import DEPTH_CAP, SdPartition, conjugate, sign, spanning_intervals
+from .errors import DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch
+from .thompson import Tree, _indices
 
 
 @dataclass(frozen=True)
@@ -139,8 +140,56 @@ def parse_permutation(text: str) -> Permutation:
     return Permutation(images)
 
 
+def half_grid_from_tree(t: Tree) -> HalfGrid:
+    """The canonical half grid of a tree's partition, from one integer scan.
+
+    An interval [k/2^m, (k+1)/2^m] is its heap id (1 << m) | k: the parent
+    is id >> 1, the sibling id ^ 1, and the sign is '+' when the id has an
+    odd number of 1-bits (k an even number of them).  The spanning
+    intervals in midpoint order are the in-order walk: each leaf, then the
+    caret whose midpoint is the leaf's right end, found by dropping the
+    trailing 1-bits of the leaf's id and one more bit.  Rows are the
+    positive intervals deepest first, k ascending within a depth, which is
+    the order the walk meets them in; a negative interval takes its
+    sibling's row.  Trees deeper than DEPTH_CAP are refused, as their
+    partitions are.
+    """
+    depths = t.depths
+    deepest = max(depths)
+    if deepest > DEPTH_CAP:
+        raise DepthExceeded("tree too deep for dyadic breakpoints")
+    n = len(depths)
+    walk = []  # heap ids of the spanning intervals, midpoint order
+    for d, k in zip(depths, _indices(depths)):
+        h = (1 << d) | k
+        walk.append(h)
+        walk.append(h >> (h ^ (h + 1)).bit_length())
+    walk.pop()  # the last leaf's id is all 1-bits: no caret follows it
+    by_depth: list[list[int]] = [[] for _ in range(deepest + 1)]
+    for h in walk:
+        if h.bit_count() & 1:  # positive
+            by_depth[h.bit_length() - 1].append(h)
+    row = {}
+    for bucket in reversed(by_depth):
+        for h in bucket:
+            row[h] = len(row) + 1
+    x_cols = [0] * n
+    o_cols = [0] * n
+    o_cols[n - 1] = 1  # default O at (1, n)
+    for col, h in enumerate(walk, start=2):
+        r = row.get(h)
+        if r:
+            x_cols[r - 1] = col
+        else:
+            o_cols[row[h ^ 1] - 1] = col
+    return HalfGrid(n, tuple(x_cols), tuple(o_cols))
+
+
 def half_grid_from_partition(p: SdPartition) -> HalfGrid:
     """The canonical half grid of a standard dyadic partition.
+
+    Oracle for `half_grid_from_tree`: it walks `SdInterval` objects and
+    sorts them, where the scan reads plain integers.
 
     Column of an interval: its rank in the midpoint order, shifted by one.
     Row: rank in the length order over the positive intervals, shared with

@@ -8,7 +8,8 @@ are always reduced.
 A tree is the tuple of its leaf depths, left to right: a leaf of depth d
 and index k is the standard dyadic interval [k/2^d, (k+1)/2^d].  Every
 operation is one linear scan over these tuples without recursion, so trees
-of any depth work; only breakpoints and map values meet DEPTH_CAP.
+of any depth work; only breakpoints, half grids and map values meet
+DEPTH_CAP.
 """
 
 from __future__ import annotations
@@ -63,6 +64,14 @@ class Tree:
         return format_tree(self)
 
 
+def _trusted(depths: tuple[int, ...]) -> Tree:
+    """A Tree from depths the tree algebra built out of valid trees; skips
+    the `_indices` re-check that parsed and user-built trees go through."""
+    t = object.__new__(Tree)
+    object.__setattr__(t, "depths", depths)
+    return t
+
+
 LEAF = Tree((0,))
 
 
@@ -110,7 +119,12 @@ def parse_tree(text: str) -> Tree:
 def tree_from_partition(p: SdPartition) -> Tree:
     """Each subinterval of p is a leaf; its length 1/2^d gives the depth."""
     bps = p.breakpoints
-    return Tree(tuple((b - a).exp for a, b in zip(bps, bps[1:])))
+    depths = []
+    for a, b in zip(bps, bps[1:]):
+        e = max(a.exp, b.exp)
+        gap = (b.num << (e - b.exp)) - (a.num << (e - a.exp))  # 2^(e - d)
+        depths.append(e + 1 - gap.bit_length())
+    return Tree(tuple(depths))
 
 
 def partition_from_tree(t: Tree) -> SdPartition:
@@ -168,7 +182,7 @@ def graft(t: Tree, grafts: list[Tree]) -> Tree:
     """Replace leaf i with grafts[i], for all leaves left to right."""
     if len(grafts) != len(t.depths):
         raise ValueError("need one graft per leaf")
-    return Tree(tuple(d + e for d, g in zip(t.depths, grafts) for e in g.depths))
+    return _trusted(tuple(d + e for d, g in zip(t.depths, grafts) for e in g.depths))
 
 
 def tree_union(a: Tree, b: Tree) -> Tree:
@@ -235,7 +249,7 @@ def reduce_pair(g: TreePair) -> TreePair:
             dt, kt, db, kb = dt - 1, pkt >> 1, db - 1, pkb >> 1
         stack.append((dt, kt, db, kb))
     tops, _, bottoms, _ = zip(*stack)
-    return TreePair(Tree(tops), Tree(bottoms), reduced=True)
+    return TreePair(_trusted(tops), _trusted(bottoms), reduced=True)
 
 
 def refine_to(g: TreePair, target_bottom: Tree) -> TreePair:
@@ -258,7 +272,7 @@ def multiply(g: TreePair, h: TreePair) -> TreePair:
     for d, i, j in _align(gb, ht):
         top.append(gt[i] + d - gb[i])
         bottom.append(hb[j] + d - ht[j])
-    return reduce_pair(TreePair(Tree(tuple(top)), Tree(tuple(bottom))))
+    return reduce_pair(TreePair(_trusted(tuple(top)), _trusted(tuple(bottom))))
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:

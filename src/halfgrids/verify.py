@@ -17,6 +17,7 @@ from .halfgrid import (
     assemble,
     assemble_unoriented,
     half_grid_from_partition,
+    half_grid_from_tree,
     is_compatible,
     perm_decode,
     perm_encode,
@@ -112,7 +113,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
         raise ValueError("max_leaves must be between 1 and 8")
     trees = _all_trees(max_leaves)
     partitions = {t: partition_from_tree(t) for t in trees}
-    halves = {t: half_grid_from_partition(partitions[t]) for t in trees}
+    halves = {t: half_grid_from_tree(t) for t in trees}
 
     checks = {
         name: _Check(name)
@@ -120,6 +121,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
             "spanning-cardinalities",
             "spanning-two-routes-agree",
             "half-grid-validity",
+            "half-grid-scan-vs-partition",
             "column-marks-are-interval-signs",
             "compatibility-from-signs",
             "writhe-zero",
@@ -155,6 +157,9 @@ def verify_suite(max_leaves: int = 5) -> Report:
         )
 
         h = halves[t]
+        checks["half-grid-scan-vs-partition"].record(
+            h == half_grid_from_partition(p), lambda t=t: f"tree {t}"
+        )
         ok = True
         try:
             HalfGrid(h.n, h.x_cols, h.o_cols)
@@ -233,8 +238,7 @@ def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
     stab = checks["bracket-stabilization"]
     if len(xs) + 2 <= BRACKET_CHECK_CAP and stab.instances < BRACKET_STAB_BUDGET:
         refined = assemble_unoriented(
-            half_grid_from_partition(partition_from_tree(node(t1, LEAF))),
-            half_grid_from_partition(partition_from_tree(node(t2, LEAF))),
+            half_grid_from_tree(node(t1, LEAF)), half_grid_from_tree(node(t2, LEAF))
         )
         base = linkdiag.kauffman_bracket(g.unoriented())
         checks["bracket-stabilization"].record(

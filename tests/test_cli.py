@@ -1,12 +1,14 @@
 import contextlib
 import io
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfgrids.cli import build_parser, main
-from halfgrids.thompson import partition_from_tree, random_tree
+from halfgrids.dyadic import DEPTH_CAP, Dyadic, SdInterval, parse_partition
+from halfgrids.thompson import Tree, format_tree, partition_from_tree, random_tree
 
 
 def run(capsys, *argv):
@@ -191,6 +193,49 @@ class TestDeepTrees:
         assert code == 1
         assert out == ""
         assert err == "error: tree too deep for dyadic breakpoints\n"
+
+    @staticmethod
+    def left_comb_sources(depth):
+        """A left comb whose deepest leaves sit at depth, as --trees and as
+        the same partition, 0, 1/2^depth, 1/2^(depth-1), ..., 1/2, 1."""
+        tree = format_tree(Tree((depth,) + tuple(range(depth, 0, -1))))
+        points = ",".join(["0"] + [f"1/{1 << d}" for d in range(depth, 0, -1)] + ["1"])
+        return [["--trees", f"{tree}|{tree}"], ["--partitions", points, points]]
+
+    @pytest.mark.parametrize("command", ["encode", "build", "group"])
+    def test_depth_cap_is_accepted(self, capsys, command):
+        for source in self.left_comb_sources(DEPTH_CAP):
+            code, out, err = run(capsys, command, *source)
+            assert (code, err) == (0, "")
+            assert out
+
+    @pytest.mark.parametrize("command", ["encode", "build", "group"])
+    def test_past_depth_cap_is_domain_error(self, capsys, command):
+        for source in self.left_comb_sources(DEPTH_CAP + 1):
+            code, out, err = run(capsys, command, *source)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestHalfGridRoute:
+    def test_no_dyadic_objects_beyond_parsing(self, capsys, monkeypatch):
+        """--trees makes no Dyadic or SdInterval; --partitions makes only
+        those that parsing its text makes."""
+        made = Counter()
+        for cls in (Dyadic, SdInterval):
+            def counted(self, init=cls.__post_init__, name=cls.__name__):
+                made[name] += 1
+                init(self)
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        code, _, _ = run(capsys, "encode", "--trees", "((..)(.(..)))|(.((..)(..)))")
+        assert code == 0 and not made
+        points = ["0,1/4,1/2,5/8,3/4,1", "0,1/2,5/8,3/4,7/8,1"]
+        for text in points:
+            parse_partition(text)
+        parsed = made.copy()
+        made.clear()
+        code, _, _ = run(capsys, "encode", "--partitions", *points)
+        assert code == 0 and made == parsed
 
 
 class TestParserReuse:

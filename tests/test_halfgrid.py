@@ -2,9 +2,11 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from halfgrids.dyadic import parse_partition, sign
+from halfgrids.dyadic import DEPTH_CAP, parse_partition, sign
 from halfgrids.errors import (
+    DepthExceeded,
     Incompatible,
     NotAPermutation,
     ParseError,
@@ -19,6 +21,7 @@ from halfgrids.halfgrid import (
     format_grid,
     format_half_grid,
     half_grid_from_partition,
+    half_grid_from_tree,
     is_compatible,
     parse_grid,
     parse_half_grid,
@@ -27,14 +30,57 @@ from halfgrids.halfgrid import (
     perm_encode,
     rotate90,
 )
-from halfgrids.thompson import enumerate_trees, leaf_signs, partition_from_tree
+from halfgrids.thompson import Tree, enumerate_trees, leaf_signs, partition_from_tree
 
 
 def half_grids_from_trees(n):
-    return [
-        (t, half_grid_from_partition(partition_from_tree(t)))
-        for t in enumerate_trees(n)
-    ]
+    return [(t, half_grid_from_tree(t)) for t in enumerate_trees(n)]
+
+
+@st.composite
+def split_trees(draw, max_leaves=400, max_depth=DEPTH_CAP - 1):
+    """Grow a tree from one leaf by up to n - 1 splits, none below
+    max_depth, for n >= 10 (every smaller tree is checked exhaustively).
+    With the drawn probability a split takes a child of the leaf split
+    last, which grows long combs; otherwise any leaf."""
+    n = draw(st.integers(10, max_leaves))
+    stay = draw(st.sampled_from([0.0, 0.5, 0.9, 1.0]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    depths, last = [0], 0
+    for _ in range(n - 1):
+        if rng.random() < stay:
+            i = min(last + rng.randint(0, 1), len(depths) - 1)
+        else:
+            i = rng.randrange(len(depths))
+        if depths[i] == max_depth:
+            i = rng.randrange(len(depths))
+        if depths[i] < max_depth:
+            depths[i:i + 1] = [depths[i] + 1] * 2
+            last = i
+    return Tree(tuple(depths))
+
+
+class TestScan:
+    """half_grid_from_tree against the partition route it replaced."""
+
+    def test_every_tree_up_to_nine_leaves(self):
+        for n in range(1, 10):
+            for t in enumerate_trees(n):
+                assert half_grid_from_tree(t) == half_grid_from_partition(partition_from_tree(t))
+
+    @settings(max_examples=100, deadline=None)
+    @given(split_trees())
+    def test_random_trees(self, t):
+        assert half_grid_from_tree(t) == half_grid_from_partition(partition_from_tree(t))
+
+    def test_depth_bound(self):
+        def left_comb(depth):
+            return Tree((depth,) + tuple(range(depth, 0, -1)))
+
+        at_cap = left_comb(DEPTH_CAP)
+        assert half_grid_from_tree(at_cap).n == DEPTH_CAP + 1
+        with pytest.raises(DepthExceeded, match="tree too deep"):
+            half_grid_from_tree(left_comb(DEPTH_CAP + 1))
 
 
 class TestHalfGrid:

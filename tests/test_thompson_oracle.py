@@ -21,6 +21,8 @@ from halfgrids.dyadic import DEPTH_CAP, Dyadic, ONE, SdPartition, ZERO
 from halfgrids.errors import DepthExceeded, NotARefinement
 from halfgrids.thompson import (
     IDENTITY,
+    Tree,
+    _indices,
     apply_map,
     graft,
     grafts_between,
@@ -291,6 +293,21 @@ def test_multiply_matches_oracle(g, h):
     assert str(multiply(parse_pair(text(g)), parse_pair(text(h)))) == text(
         multiply_nested(g, h)
     )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_pair, any_pair)
+def test_trees_the_algebra_builds_are_valid(g, h):
+    """multiply, reduce_pair, inverse and graft skip Tree's re-check of the
+    depths they build; every tree they return passes it all the same."""
+    g, h = parse_pair(text(g)), parse_pair(text(h))
+    pairs = [multiply(g, h), multiply(h, g), reduce_pair(g), inverse(g), inverse(reduce_pair(h))]
+    trees = [t for p in pairs for t in (p.top, p.bottom)]
+    trees.append(graft(g.top, [(h.top, h.bottom)[i % 2] for i in range(g.n)]))
+    for t in trees:
+        assert type(t.depths) is tuple
+        _indices(t.depths)
+        assert Tree(t.depths) == t
 
 
 @settings(max_examples=100, deadline=None)
