@@ -5,9 +5,7 @@ from .dyadic import (
     Dyadic,
     SdInterval,
     SdPartition,
-    Side,
     conjugate,
-    e_points,
     midpoint,
     midpoint_inverse,
     parse_dyadic,

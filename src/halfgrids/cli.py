@@ -33,6 +33,7 @@ from .thompson import parse_pair, tree_from_partition
 
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
     src = sub.add_argument_group("input source (exactly one)")
+    src = src.add_mutually_exclusive_group(required=True)
     src.add_argument("--trees", metavar="TOP|BOTTOM", help="tree pair, e.g. '(..)|(..)'")
     src.add_argument(
         "--partitions", nargs=2, metavar=("PLUS", "MINUS"),
@@ -55,7 +56,7 @@ def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
     if args.perms is not None:
         sp, sm = (parse_permutation(text) for text in args.perms)
         return perm_decode(sp), perm_decode(sm)
-    raise AssertionError("unreachable: source checked earlier")
+    raise ParseError("a grid file holds no half grids; give --trees, --partitions or --perms")
 
 
 def _grid(args) -> GridDiagram:
@@ -70,17 +71,6 @@ def _grid(args) -> GridDiagram:
     if getattr(args, "unoriented", False):
         return assemble_unoriented(plus, minus)
     return assemble(plus, minus)
-
-
-def _check_one_source(args, parser) -> None:
-    given = [
-        name
-        for name in ("trees", "partitions", "perms", "grid")
-        if getattr(args, name, None) is not None
-    ]
-    if len(given) != 1:
-        parser.error("exactly one input source is required "
-                     "(--trees, --partitions, --perms or --grid)")
 
 
 def cmd_build(args) -> int:
@@ -104,8 +94,12 @@ def cmd_build(args) -> int:
 def cmd_render(args) -> int:
     g = _grid(args)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(linkdiag.render_svg(g))
+        svg = linkdiag.render_svg(g)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(svg)
+        except OSError as exc:
+            raise ParseError(f"cannot write {args.out}: {exc}") from None
         print(f"wrote {args.out}")
     else:
         print(linkdiag.render_ascii(g, ascii_only=args.ascii_only))
@@ -231,10 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command != "verify":
-        _check_one_source(args, parser)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

@@ -12,9 +12,7 @@ value is computed.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
-from functools import cmp_to_key
 
 from .errors import DepthExceeded, NoConjugate, NotInE, ParseError
 
@@ -106,11 +104,6 @@ def parse_dyadic(text: str, pos: str = "") -> Dyadic:
         raise ParseError(f"malformed dyadic {text!r}{where}") from None
 
 
-class Side(enum.Enum):
-    LEFT = "L"
-    RIGHT = "R"
-
-
 @dataclass(frozen=True)
 class SdInterval:
     """[k/2^m, (k+1)/2^m] inside [0,1]."""
@@ -178,9 +171,6 @@ class SdPartition:
         return ",".join(str(b) for b in self.breakpoints)
 
 
-TRIVIAL = SdPartition((ZERO, ONE))
-
-
 def parse_partition(text: str) -> SdPartition:
     tokens = text.split(",")
     points = [parse_dyadic(tok, pos=f"position {i}") for i, tok in enumerate(tokens)]
@@ -191,12 +181,6 @@ def parse_partition(text: str) -> SdPartition:
         return SdPartition(tuple(points))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-
-
-@dataclass(frozen=True)
-class SignedPoint:
-    point: Dyadic
-    sign: str  # '+' or '-'
 
 
 def midpoint(iv: SdInterval) -> Dyadic:
@@ -212,12 +196,6 @@ def midpoint_inverse(p: Dyadic) -> SdInterval:
     return SdInterval((p.num - 1) >> 1, p.exp - 1)
 
 
-def side(iv: SdInterval) -> Side:
-    if iv == UNIT:
-        return Side.RIGHT  # convention
-    return Side.LEFT if iv.k % 2 == 0 else Side.RIGHT
-
-
 def conjugate(iv: SdInterval) -> SdInterval:
     if iv == UNIT:
         raise NoConjugate("[0,1] has no conjugate")
@@ -226,27 +204,12 @@ def conjugate(iv: SdInterval) -> SdInterval:
     return SdInterval(iv.k - 1, iv.m)
 
 
-def parent(iv: SdInterval) -> SdInterval:
-    """The union of iv and its conjugate."""
-    if iv == UNIT:
-        raise NoConjugate("[0,1] has no parent")
-    return SdInterval(iv.k >> 1, iv.m - 1)
-
-
 def sign(iv: SdInterval) -> str:
     """Recursive sign: root is +, a left child inherits, a right child flips.
 
     Equivalently: '-' exactly when k has an odd number of 1-bits.
     """
     return "-" if bin(iv.k).count("1") % 2 else "+"
-
-
-def cmp_mid(a: SdInterval, b: SdInterval) -> int:
-    ma, mb = midpoint(a), midpoint(b)
-    return -1 if ma < mb else (0 if ma == mb else 1)
-
-
-MID_KEY = cmp_to_key(cmp_mid)
 
 
 def spanning_intervals(p: SdPartition) -> tuple[SdInterval, ...]:
@@ -282,17 +245,5 @@ def spanning_intervals_by_pairs(p: SdPartition) -> tuple[SdInterval, ...]:
                 found.append(SdInterval.from_endpoints(bps[i], bps[j]))
             except ValueError:
                 continue
-    found.sort(key=MID_KEY)
+    found.sort(key=midpoint)
     return tuple(found)
-
-
-def e_points(p: SdPartition) -> tuple[SignedPoint, ...]:
-    """Midpoints of the spanning intervals, with their interval signs."""
-    return tuple(
-        SignedPoint(midpoint(iv), sign(iv)) for iv in spanning_intervals(p)
-    )
-
-
-def point_sign(x: Dyadic) -> str:
-    """Sign of an interior dyadic point: the sign of its preimage interval."""
-    return sign(midpoint_inverse(x))

@@ -119,9 +119,6 @@ class Permutation:
     def degree(self) -> int:
         return len(self.images)
 
-    def __call__(self, i: int) -> int:
-        return self.images[i - 1]
-
     def inverse(self) -> "Permutation":
         inv = [0] * self.degree
         for i, v in enumerate(self.images, start=1):
@@ -338,11 +335,9 @@ def rotate90(g: GridDiagram) -> GridDiagram:
             x_cols[m - g.x_cols[r - 1]] = r
             o_cols[m - g.o_cols[r - 1]] = r
         return GridDiagram(m, tuple(x_cols), tuple(o_cols), oriented=True)
-    # unoriented: mark labels carry no meaning, keep coordinate pairs per row
-    by_row: dict[int, list[int]] = {r: [] for r in range(1, m + 1)}
-    for r in range(1, m + 1):
-        for c in (g.x_cols[r - 1], g.o_cols[r - 1]):
-            by_row[m + 1 - c].append(r)
-    x_cols = tuple(sorted(by_row[r])[0] for r in range(1, m + 1))
-    o_cols = tuple(sorted(by_row[r])[1] for r in range(1, m + 1))
+    # unoriented: mark labels carry no meaning; row r gets the two marks of
+    # column m + 1 - r, lower one first
+    spans = [g.column_rows(m + 1 - r) for r in range(1, m + 1)]
+    x_cols = tuple(lo for lo, _ in spans)
+    o_cols = tuple(hi for _, hi in spans)
     return GridDiagram(m, x_cols, o_cols, oriented=False)

@@ -33,8 +33,6 @@ def _rotate_cw(d: tuple[int, int]) -> tuple[int, int]:
 class Crossing:
     row: int  # row of the horizontal (over) strand
     col: int  # column of the vertical (under) strand
-    over_dir: tuple[int, int]
-    under_dir: tuple[int, int]
     sign: int
 
 
@@ -50,9 +48,8 @@ class PlanarDiagram:
     the rows ``spans[c - 1]``, where row 0 is the bottom edge that the
     columns of a half grid drop to.  Crossings are numbered row by row, left
     to right; ``row_crossings`` and ``col_crossings`` list their numbers per
-    row (left to right) and per column (bottom to top).  On an oriented
-    diagram a strand's direction of travel is ``row_dir``/``col_dir``, so
-    its travel order is the listed order or its reverse.  Cutting a closed
+    row (left to right) and per column (bottom to top).  An oriented
+    diagram keeps each crossing's sign in ``signs``.  Cutting a closed
     diagram at its crossings leaves arcs, labelled on first use by `arcs`.
     """
 
@@ -76,18 +73,16 @@ class PlanarDiagram:
         self.row_crossings = tuple(map(tuple, row_crossings))
         self.col_crossings = tuple(map(tuple, col_crossings))
 
-        self.row_dir: tuple[tuple[int, int], ...] = ()
-        self.col_dir: tuple[tuple[int, int], ...] = ()
         self.signs: tuple[int, ...] = ()
         if self.oriented:
             # rows run X to O; columns run O to X, so north when the X is on top
-            self.row_dir = tuple(EAST if o > x else WEST for x, o in self.rows)
-            self.col_dir = tuple(
+            row_dir = [EAST if o > x else WEST for x, o in self.rows]
+            col_dir = [
                 NORTH if self.rows[hi - 1][0] == c else SOUTH
                 for c, (_, hi) in enumerate(spans, start=1)
-            )
+            ]
             self.signs = tuple(
-                1 if self.row_dir[r - 1] == _rotate_cw(self.col_dir[c - 1]) else -1
+                1 if row_dir[r - 1] == _rotate_cw(col_dir[c - 1]) else -1
                 for c, r in self.positions
             )
 
@@ -187,10 +182,7 @@ def _crossing_positions(g: GridDiagram) -> list[tuple[int, int]]:
 
 
 def _crossing_list(d: PlanarDiagram) -> list[Crossing]:
-    return [
-        Crossing(r, c, d.row_dir[r - 1], d.col_dir[c - 1], s)
-        for (c, r), s in zip(d.positions, d.signs)
-    ]
+    return [Crossing(r, c, s) for (c, r), s in zip(d.positions, d.signs)]
 
 
 def crossings(g: GridDiagram) -> list[Crossing]:
@@ -200,7 +192,9 @@ def crossings(g: GridDiagram) -> list[Crossing]:
 
 
 def writhe(g: GridDiagram) -> int:
-    return sum(x.sign for x in crossings(g))
+    if not g.oriented:
+        raise UnorientedDiagram("crossing signs need X/O marks")
+    return sum(diagram(g).signs)
 
 
 def half_grid_crossings(h: HalfGrid) -> list[Crossing]:
@@ -283,14 +277,12 @@ def seifert_stats(g: GridDiagram) -> tuple[int, int]:
 
     The oriented smoothing joins each strand's incoming end to the other
     strand's outgoing end.  That is the A-smoothing of _A_PAIRS exactly
-    when the two strands run east and north or west and south."""
+    when the two strands run east and north or west and south, that is,
+    at the positive crossings."""
     if not g.oriented:
         raise UnorientedDiagram("Seifert smoothing needs orientations")
     d = diagram(g)
-    smoothing = [
-        (d.row_dir[r - 1] == EAST) == (d.col_dir[c - 1] == NORTH) for c, r in d.positions
-    ]
-    circles = _loops(d, smoothing)
+    circles = _loops(d, [s > 0 for s in d.signs])
     return circles, circles - len(d.positions)
 
 
@@ -350,7 +342,6 @@ class LaurentPoly:
         return f"LaurentPoly({self.coeffs!r})"
 
 
-ONE_POLY = LaurentPoly.monomial(1, 0)
 LOOP = LaurentPoly({2: -1, -2: -1})  # -A^2 - A^-2
 NEG_A_CUBED = LaurentPoly.monomial(-1, 3)
 

@@ -13,6 +13,7 @@ General presentations go through the Smith normal form (`abelianization`).
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -173,16 +174,10 @@ def smith_normal_form(matrix: list[list[int]]) -> list[int]:
         for i in range(len(diag) - 1):
             a, b = diag[i], diag[i + 1]
             if b % a:
-                g = _gcd(a, b)
+                g = math.gcd(a, b)
                 diag[i], diag[i + 1] = g, a * b // g
                 changed = True
     return diag
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def abelianization(p: GroupPresentation) -> tuple[int, list[int]]:

@@ -17,7 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .dyadic import DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, e_points, point_sign
+from .dyadic import (
+    DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, sign, spanning_intervals,
+)
 from .errors import DepthExceeded, NotARefinement, ParseError
 
 
@@ -297,11 +299,13 @@ def is_oriented(g: TreePair) -> bool:
 
 
 def is_oriented_via_points(g: TreePair) -> bool:
-    """Independent test: the map preserves point signs on all of E(top)."""
-    for sp in e_points(partition_from_tree(g.top)):
-        if point_sign(apply_map(g, sp.point)) != sp.sign:
-            return False
-    return True
+    """Independent test: the map preserves point signs on all of E(top),
+    the midpoints of the spanning intervals; a point's sign is the sign of
+    the interval it is the midpoint of."""
+    return all(
+        sign(midpoint_inverse(apply_map(g, midpoint(iv)))) == sign(iv)
+        for iv in spanning_intervals(partition_from_tree(g.top))
+    )
 
 
 @lru_cache(maxsize=None)

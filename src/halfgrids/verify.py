@@ -46,7 +46,6 @@ from .thompson import (
     reduce_pair,
 )
 
-BRACKET_CHECK_CAP = linkdiag.BRACKET_CAP  # every diagram the bracket accepts
 BRACKET_MIRROR_BUDGET = 300  # instance cap; enumeration order is fixed
 BRACKET_STAB_BUDGET = 200
 
@@ -236,7 +235,7 @@ def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
     )
 
     stab = checks["bracket-stabilization"]
-    if len(xs) + 2 <= BRACKET_CHECK_CAP and stab.instances < BRACKET_STAB_BUDGET:
+    if len(xs) + 2 <= linkdiag.BRACKET_CAP and stab.instances < BRACKET_STAB_BUDGET:
         refined = assemble_unoriented(
             half_grid_from_tree(node(t1, LEAF)), half_grid_from_tree(node(t2, LEAF))
         )
@@ -315,7 +314,7 @@ def _check_bracket_mirror(checks, by_n, halves) -> None:
                 return
             a, b = halves[t1], halves[t2]
             g = assemble_unoriented(a, b)
-            if len(linkdiag._crossing_positions(g)) > BRACKET_CHECK_CAP:
+            if len(linkdiag._crossing_positions(g)) > linkdiag.BRACKET_CAP:
                 continue
             forward = linkdiag.kauffman_bracket(g)
             backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))

@@ -152,6 +152,12 @@ class TestRender:
         _, two, _ = run(capsys, "render", "--trees", "(..)|(..)")
         assert one == two
 
+    def test_unwritable_out_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "missing" / "x.svg"
+        code, out, err = run(capsys, "render", "--trees", "(..)|(..)", "--out", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
 
 class TestExport:
     def test_plain(self, capsys):
@@ -236,6 +242,42 @@ class TestHalfGridRoute:
         made.clear()
         code, _, _ = run(capsys, "encode", "--partitions", *points)
         assert code == 0 and made == parsed
+
+
+SOURCES = {
+    ("trees", True): ["--trees", "(..)|(..)"],
+    ("trees", False): ["--trees", "(..|(..)"],
+    ("partitions", True): ["--partitions", "0,1/2,1", "0,1/2,1"],
+    ("partitions", False): ["--partitions", "0,1/3,1", "0,1/2,1"],
+    ("perms", True): ["--perms", "2 4 3 1", "2 4 3 1"],
+    ("perms", False): ["--perms", "2 4 x 1", "2 4 3 1"],
+    ("grid", True): "n=4; X=1,4,2,3; O=3,2,4,1; oriented=true\n",
+    ("grid", False): "n=2; X=1,2; O=1,2; oriented=true\n",
+}
+
+
+@pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
+@pytest.mark.parametrize("kind", ["trees", "partitions", "perms", "grid"])
+@pytest.mark.parametrize("command", ["build", "render", "invariants", "group", "encode", "export"])
+def test_command_source_matrix(command, kind, valid, tmp_path):
+    """Every command takes every source kind without a traceback: exit 0
+    on valid input, an `error:` line on every other exit."""
+    source = SOURCES[kind, valid]
+    if kind == "grid":
+        path = tmp_path / "g.grid"
+        path.write_text(source)
+        source = ["--grid", str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([command, *source])
+    assert code in (0, 1, 2, 3)
+    if code:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    if (command, kind) == ("encode", "grid"):  # a grid file holds no half grids
+        assert (code, out.getvalue()) == (2, "")
+        assert "--trees, --partitions or --perms" in err.getvalue()
+    else:
+        assert (code == 0) == valid
 
 
 class TestParserReuse:

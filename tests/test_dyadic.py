@@ -8,18 +8,13 @@ from halfgrids.dyadic import (
     ONE,
     SdInterval,
     SdPartition,
-    Side,
     UNIT,
     ZERO,
     conjugate,
-    e_points,
     midpoint,
     midpoint_inverse,
-    parent,
     parse_dyadic,
     parse_partition,
-    point_sign,
-    side,
     sign,
     spanning_intervals,
     spanning_intervals_by_pairs,
@@ -107,24 +102,17 @@ class TestSdInterval:
             midpoint_inverse(ONE)
 
     def test_side_and_conjugate(self):
-        assert side(UNIT) == Side.RIGHT
-        assert side(SdInterval(0, 1)) == Side.LEFT
-        assert side(SdInterval(1, 1)) == Side.RIGHT
         assert conjugate(SdInterval(0, 1)) == SdInterval(1, 1)
         assert conjugate(SdInterval(1, 1)) == SdInterval(0, 1)
         with pytest.raises(NoConjugate):
             conjugate(UNIT)
-
-    def test_parent(self):
-        assert parent(SdInterval(2, 2)) == SdInterval(1, 1)
-        assert parent(SdInterval(3, 2)) == SdInterval(1, 1)
 
     def test_conjugate_involution(self):
         for m in range(1, 6):
             for k in range(1 << m):
                 iv = SdInterval(k, m)
                 assert conjugate(conjugate(iv)) == iv
-                assert side(conjugate(iv)) != side(iv)
+                assert conjugate(iv).k % 2 != iv.k % 2  # one sibling is a left child, one a right
 
     def test_sign_recursion(self):
         # root +, left child inherits, right child flips
@@ -198,9 +186,9 @@ class TestSdPartition:
 
     def test_e_points_order_and_signs(self):
         p = parse_partition("0,1/2,1")
-        pts = e_points(p)
-        assert [str(sp.point) for sp in pts] == ["1/4", "1/2", "3/4"]
-        assert [sp.sign for sp in pts] == ["+", "+", "-"]
+        spans = spanning_intervals(p)
+        assert [str(midpoint(iv)) for iv in spans] == ["1/4", "1/2", "3/4"]
+        assert [sign(iv) for iv in spans] == ["+", "+", "-"]
 
     def test_point_sign_recursion_at_breakpoints(self):
         # a breakpoint splits the interval it is the midpoint of; its sign
@@ -213,5 +201,5 @@ class TestSdPartition:
                 iv = midpoint_inverse(b)
                 left = SdInterval(2 * iv.k, iv.m + 1)
                 right = SdInterval(2 * iv.k + 1, iv.m + 1)
-                assert point_sign(b) == point_sign(midpoint(left))
-                assert point_sign(b) != point_sign(midpoint(right))
+                assert sign(midpoint_inverse(b)) == sign(midpoint_inverse(midpoint(left)))
+                assert sign(midpoint_inverse(b)) != sign(midpoint_inverse(midpoint(right)))

@@ -2,7 +2,8 @@
 
 The expected files in tests/fixtures/golden/ hold the stdout (and, for
 `render --out`, the SVG file) of each command on each input of
-`inputs.json`.  Regenerate them only for an intended output change:
+`inputs.json`, and the report of `verify --max-leaves 5`.  Regenerate them
+only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -35,8 +36,13 @@ COMMANDS = {
     "group-grid": ("group", "--grid", "g.grid"),
     "group": ("group",),
     "group-gap": ("group", "--gap"),
+    "build": ("build",),
+    "build-unoriented": ("build", "--unoriented"),
+    "encode": ("encode",),
 }
 CASES = [(name, slug) for name in INPUTS for slug in COMMANDS]
+VERIFY = ("verify", "--max-leaves", "5")
+VERIFY_OUT = GOLDEN / "verify-max-leaves-5.out"
 
 
 def _source(name: str) -> list[str]:
@@ -82,6 +88,10 @@ def test_cli_output_matches_golden(name, slug, tmp_path, monkeypatch):
     assert run_case(name, slug) == _expected(name, slug)
 
 
+def test_verify_report_matches_golden():
+    assert _main(list(VERIFY)) == (0, VERIFY_OUT.read_text(encoding="utf-8"))
+
+
 def write_golden() -> None:
     codes = {}
     cwd = os.getcwd()
@@ -97,6 +107,9 @@ def write_golden() -> None:
         finally:
             os.chdir(cwd)
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n", encoding="utf-8")
+    code, out = _main(list(VERIFY))
+    assert code == 0, "verify failed; not writing its report"
+    VERIFY_OUT.write_text(out, encoding="utf-8")
 
 
 if __name__ == "__main__":
