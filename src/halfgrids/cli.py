@@ -31,7 +31,17 @@ from .halfgrid import (
 from .thompson import parse_pair, tree_from_partition
 
 
-def _add_source_args(sub: argparse.ArgumentParser) -> None:
+class _NoGridFile(argparse.Action):
+    """`--grid` given to a command that needs half grids: refused as
+    malformed input (exit 2) while the arguments are parsed."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise ParseError("a grid file holds no half grids; give --trees, --partitions or --perms")
+
+
+def _add_source_args(sub: argparse.ArgumentParser, grid: bool = True) -> None:
+    """The input source options; with grid=False, `--grid` is left out of
+    the help and refused."""
     src = sub.add_argument_group("input source (exactly one)")
     src = src.add_mutually_exclusive_group(required=True)
     src.add_argument("--trees", metavar="TOP|BOTTOM", help="tree pair, e.g. '(..)|(..)'")
@@ -43,7 +53,10 @@ def _add_source_args(sub: argparse.ArgumentParser) -> None:
         "--perms", nargs=2, metavar=("SIGMA_PLUS", "SIGMA_MINUS"),
         help="two one-line permutations of 1..2n",
     )
-    src.add_argument("--grid", metavar="FILE", help="file holding a grid diagram line")
+    if grid:
+        src.add_argument("--grid", metavar="FILE", help="file holding a grid diagram line")
+    else:
+        sub.add_argument("--grid", action=_NoGridFile, help=argparse.SUPPRESS)
 
 
 def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
@@ -53,10 +66,8 @@ def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
     if args.partitions is not None:
         plus, minus = (tree_from_partition(parse_partition(text)) for text in args.partitions)
         return half_grid_from_tree(plus), half_grid_from_tree(minus)
-    if args.perms is not None:
-        sp, sm = (parse_permutation(text) for text in args.perms)
-        return perm_decode(sp), perm_decode(sm)
-    raise ParseError("a grid file holds no half grids; give --trees, --partitions or --perms")
+    sp, sm = (parse_permutation(text) for text in args.perms)
+    return perm_decode(sp), perm_decode(sm)
 
 
 def _grid(args) -> GridDiagram:
@@ -206,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_group)
 
     sub = subs.add_parser("encode", help="half grids as one-line permutations")
-    _add_source_args(sub)
+    _add_source_args(sub, grid=False)
     sub.set_defaults(func=cmd_encode)
 
     sub = subs.add_parser("verify", help="run the enumeration checks")
@@ -225,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

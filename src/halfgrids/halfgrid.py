@@ -261,6 +261,8 @@ def perm_encode(h: HalfGrid) -> Permutation:
 def perm_decode(sigma: Permutation) -> HalfGrid:
     if sigma.degree % 2:
         raise NotAPermutation("half grid permutation needs even degree")
+    if not sigma.degree:
+        raise NotAPermutation("half grid permutation needs at least one row")
     n = sigma.degree // 2
     x_cols = tuple(sigma.images[0::2])
     o_cols = tuple(sigma.images[1::2])

@@ -41,16 +41,20 @@ _END = {"W": 0, "E": 1, "S": 2, "N": 3}
 
 
 class PlanarDiagram:
-    """The planar diagram of a grid or half grid, computed once, in
-    O(m log m + c) interpreted steps for m columns and c crossings.
+    """The planar diagram of a grid or half grid.
 
     Row r runs between the two marks ``rows[r - 1]``; column c runs between
     the rows ``spans[c - 1]``, where row 0 is the bottom edge that the
-    columns of a half grid drop to.  Crossings are numbered row by row, left
-    to right; ``row_crossings`` and ``col_crossings`` list their numbers per
-    row (left to right) and per column (bottom to top).  An oriented
-    diagram keeps each crossing's sign in ``signs``.  Cutting a closed
-    diagram at its crossings leaves arcs, labelled on first use by `arcs`.
+    columns of a half grid drop to.  Building the record reads only these,
+    in O(m) steps for m columns.  Everything else is computed on first use
+    and kept: the crossings by one O(m log m + c) sweep for c crossings, so
+    a command that only renders text never looks for them (`render_ascii`
+    takes O(m) interpreted steps and copies its O(m^2) characters in bulk).
+    Crossings are numbered row by row, left to right, in ``positions``;
+    ``row_crossings`` and ``col_crossings`` list their numbers per row (left
+    to right) and per column (bottom to top).  An oriented diagram keeps
+    each crossing's sign in ``signs``.  Cutting a closed diagram at its
+    crossings leaves arcs, labelled by `arcs`.
     """
 
     def __init__(self, obj: GridDiagram | HalfGrid):
@@ -64,27 +68,42 @@ class PlanarDiagram:
             spans = [obj.column_rows(c) for c in range(1, obj.size + 1)]
         self.spans = tuple(spans)
         self.rows = tuple(zip(obj.x_cols, obj.o_cols))
-        self.positions = _sweep(self.rows, self.spans)
-        row_crossings: list[list[int]] = [[] for _ in self.rows]
-        col_crossings: list[list[int]] = [[] for _ in spans]
-        for k, (c, r) in enumerate(self.positions):
-            row_crossings[r - 1].append(k)
-            col_crossings[c - 1].append(k)
-        self.row_crossings = tuple(map(tuple, row_crossings))
-        self.col_crossings = tuple(map(tuple, col_crossings))
 
-        self.signs: tuple[int, ...] = ()
-        if self.oriented:
-            # rows run X to O; columns run O to X, so north when the X is on top
-            row_dir = [EAST if o > x else WEST for x, o in self.rows]
-            col_dir = [
-                NORTH if self.rows[hi - 1][0] == c else SOUTH
-                for c, (_, hi) in enumerate(spans, start=1)
-            ]
-            self.signs = tuple(
-                1 if row_dir[r - 1] == _rotate_cw(col_dir[c - 1]) else -1
-                for c, r in self.positions
-            )
+    @cached_property
+    def positions(self) -> tuple[tuple[int, int], ...]:
+        """(col, row) of every crossing, in record order."""
+        return _sweep(self.rows, self.spans)
+
+    @cached_property
+    def row_crossings(self) -> tuple[range, ...]:
+        """Each row's crossing numbers: consecutive, as the record numbers
+        the crossings row by row."""
+        rows = [r for _, r in self.positions]
+        bounds = [bisect_left(rows, r) for r in range(1, self.height + 2)]
+        return tuple(map(range, bounds, bounds[1:]))
+
+    @cached_property
+    def col_crossings(self) -> tuple[tuple[int, ...], ...]:
+        cols: list[list[int]] = [[] for _ in self.spans]
+        for k, (c, _) in enumerate(self.positions):
+            cols[c - 1].append(k)
+        return tuple(map(tuple, cols))
+
+    @cached_property
+    def signs(self) -> tuple[int, ...]:
+        """Crossing signs of an oriented diagram; empty for an unoriented one."""
+        if not self.oriented:
+            return ()
+        # rows run X to O; columns run O to X, so north when the X is on top
+        row_dir = [EAST if o > x else WEST for x, o in self.rows]
+        turned_col_dir = [
+            _rotate_cw(NORTH if self.rows[hi - 1][0] == c else SOUTH)
+            for c, (_, hi) in enumerate(self.spans, start=1)
+        ]
+        return tuple([
+            1 if row_dir[r - 1] == turned_col_dir[c - 1] else -1
+            for c, r in self.positions
+        ])
 
     @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
@@ -101,26 +120,28 @@ class PlanarDiagram:
         """
         if not self.closed:
             raise ValueError("arcs need a closed diagram")
-        ends = 4 * len(self.positions)
-        link = [0] * (ends + 4 * self.height)
-
-        def mark_stub(c: int, r: int, column: bool) -> int:  # left mark of a row first
-            x, o = self.rows[r - 1]
-            return ends + 4 * (r - 1) + 2 * (c == max(x, o)) + column
-
-        def join(stops: list[int]) -> None:
-            for a, b in zip(stops[0::2], stops[1::2]):
-                link[a], link[b] = b, a
-
         W, E, S, N = (_END[e] for e in "WESN")
-        for r, ks in enumerate(self.row_crossings, start=1):
-            lo, hi = sorted(self.rows[r - 1])
-            join([mark_stub(lo, r, False), *(4 * k + e for k in ks for e in (W, E)),
-                  mark_stub(hi, r, False)])
-        for c, ks in enumerate(self.col_crossings, start=1):
-            lo, hi = self.spans[c - 1]
-            join([mark_stub(c, lo, True), *(4 * k + e for k in ks for e in (S, N)),
-                  mark_stub(c, hi, True)])
+        ends = 4 * len(self.positions)
+        # Within a row, crossing k's E end meets crossing k + 1's W end; the
+        # ends of each row are set below.  Row r's marks own the stubs
+        # ends + 4(r - 1) + 0..3: row then column stub of the left mark, then
+        # of the right.
+        link = [0] * ends
+        link[E:ends - 4:4] = range(W + 4, ends, 4)
+        link[W + 4::4] = range(E, ends - 4, 4)
+        link += [0] * (4 * self.height)
+        right = [x if x > o else o for x, o in self.rows]
+        for left, ks in zip(range(ends, len(link), 4), self.row_crossings):
+            a, b = (4 * ks.start + W, 4 * ks[-1] + E) if ks else (left + 2, left)
+            link[left], link[a] = a, left
+            link[left + 2], link[b] = b, left + 2
+        for c, ((lo, hi), ks) in enumerate(zip(self.spans, self.col_crossings), start=1):
+            s = ends + 4 * lo - 3 + 2 * (c == right[lo - 1])  # column stub of the low mark
+            for k in ks:
+                link[s], link[4 * k + S] = 4 * k + S, s
+                s = 4 * k + N
+            top = ends + 4 * hi - 3 + 2 * (c == right[hi - 1])
+            link[s], link[top] = top, s
 
         seen = bytearray(len(link))
         label = [-1] * ends
@@ -354,25 +375,6 @@ _A_PAIRS = (("N", "W"), ("S", "E"))
 _B_PAIRS = (("N", "E"), ("S", "W"))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, a: int) -> int:
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 _A_ENDS = tuple((_END[p], _END[q]) for p, q in _A_PAIRS)
 _B_ENDS = tuple((_END[p], _END[q]) for p, q in _B_PAIRS)
 
@@ -381,11 +383,18 @@ def _loops(d: PlanarDiagram, a_smoothed) -> int:
     """Circles left after smoothing crossing k A-wise where a_smoothed[k]
     is true and B-wise where it is false."""
     pd, arc_count, free_loops = d.arcs
-    uf = _UnionFind(arc_count)
+    parent = list(range(arc_count))  # union-find with path halving
     merges = 0
     for arcs, a in zip(pd, a_smoothed):
         for p, q in _A_ENDS if a else _B_ENDS:
-            merges += uf.union(arcs[p], arcs[q])
+            x, y = arcs[p], arcs[q]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                merges += 1
     return arc_count - merges + free_loops
 
 
@@ -482,12 +491,17 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
                     out[key + shift] = out.get(key + shift, 0) + count
         states = merged
     (counts,) = states.values()
-    total = LaurentPoly()
+    low, high = min(k % stride for k in counts), max(k % stride for k in counts)
+    loop_power = [LOOP ** (low + free_loops - 1)]  # LOOP ** (loops - 1) from low up
+    for _ in range(low, high):
+        loop_power.append(loop_power[-1] * LOOP)
+    total: dict[int, int] = {}
     for key, count in counts.items():
         a_count, loops = divmod(key, stride)
-        loops += free_loops
-        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
-    return total
+        shift = 2 * a_count - c
+        for e, coef in loop_power[loops - low].coeffs.items():
+            total[e + shift] = total.get(e + shift, 0) + count * coef
+    return LaurentPoly(total)
 
 
 def framing_shift(p: LaurentPoly, q: LaurentPoly) -> int | None:
@@ -504,27 +518,34 @@ def framing_shift(p: LaurentPoly, q: LaurentPoly) -> int | None:
 
 # --- rendering ---------------------------------------------------------------
 
-_CHARS = {
-    True: {"h": "─", "v": "│", "X": "X", "O": "O", "B": "⊗"},
-    False: {"h": "-", "v": "|", "X": "X", "O": "O", "B": "*"},
-}
-
-
 def render_ascii(obj: GridDiagram | HalfGrid, ascii_only: bool = False) -> str:
     """Character rendering, one cell per grid square, top row first.
-    Vertical strands break under horizontal ones at crossings."""
-    chars = _CHARS[not ascii_only]
+    Vertical strands break under horizontal ones at crossings.
+
+    One line of the open columns goes down the rows: a column opens below
+    its top mark and closes at its bottom mark.  Each row is a copy of that
+    line with its horizontal run and two marks written over it, so the
+    interpreted work is O(m) for m columns and the O(m^2) cells are copied
+    in bulk."""
     d = diagram(obj)
-    columns = []  # bottom to top
-    for lo, hi in d.spans:
-        lo = max(lo, 1)
-        columns.append([" "] * (lo - 1) + [chars["v"]] * (hi - lo + 1) + [" "] * (d.height - hi))
-    grid = [list(line) for line in zip(*columns)]
-    marks = (chars["X"], chars["O"]) if d.oriented else (chars["B"], chars["B"])
-    for line, (x, o) in zip(grid, d.rows):
-        line[min(x, o) - 1:max(x, o)] = [chars["h"]] * (abs(o - x) + 1)  # over: unbroken
-        line[x - 1], line[o - 1] = marks
-    return "\n".join("".join(line) for line in reversed(grid))
+    spans = d.spans
+    marks = b"XO" if d.oriented else b"**"
+    run = b"-" * d.width
+    line = bytearray(b" " * d.width)
+    lines = []
+    for r in range(d.height, 0, -1):
+        x, o = d.rows[r - 1]
+        lo, hi = (x, o) if x < o else (o, x)
+        row = line[:]
+        row[lo - 1:hi] = run[:hi - lo + 1]  # over: unbroken
+        row[x - 1], row[o - 1] = marks
+        lines.append(row)
+        line[x - 1] = 32 if spans[x - 1][0] == r else 124  # " " or "|"
+        line[o - 1] = 32 if spans[o - 1][0] == r else 124
+    text = b"\n".join(lines).decode()
+    if ascii_only:
+        return text
+    return text.replace("-", "─").replace("|", "│").replace("*", "⊗")
 
 
 def render_svg(obj: GridDiagram | HalfGrid) -> str:

@@ -127,6 +127,14 @@ class TestEncode:
         assert code == 0
         assert out == "sigma_plus:  2 4 3 1\nsigma_minus: 2 4 3 1\n"
 
+    @pytest.mark.parametrize("command,lists_grid", [("encode", False), ("build", True)])
+    def test_help_lists_grid_only_where_accepted(self, capsys, command, lists_grid):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        out = capsys.readouterr().out
+        assert exc.value.code == 0 and "--perms" in out
+        assert ("--grid" in out) == lists_grid
+
 
 class TestRender:
     def test_ascii(self, capsys):
@@ -253,15 +261,17 @@ SOURCES = {
     ("perms", False): ["--perms", "2 4 x 1", "2 4 3 1"],
     ("grid", True): "n=4; X=1,4,2,3; O=3,2,4,1; oriented=true\n",
     ("grid", False): "n=2; X=1,2; O=1,2; oriented=true\n",
+    ("empty-perms", False): ["--perms", "", ""],  # degree 0: a half grid has at least one row
 }
 
 
-@pytest.mark.parametrize("valid", [True, False], ids=["valid", "malformed"])
-@pytest.mark.parametrize("kind", ["trees", "partitions", "perms", "grid"])
+@pytest.mark.parametrize(
+    "kind,valid", list(SOURCES), ids=[f"{k}-{'valid' if v else 'malformed'}" for k, v in SOURCES]
+)
 @pytest.mark.parametrize("command", ["build", "render", "invariants", "group", "encode", "export"])
 def test_command_source_matrix(command, kind, valid, tmp_path):
     """Every command takes every source kind without a traceback: exit 0
-    on valid input, an `error:` line on every other exit."""
+    on valid input, an `error:` line and no output on every other exit."""
     source = SOURCES[kind, valid]
     if kind == "grid":
         path = tmp_path / "g.grid"
@@ -273,6 +283,7 @@ def test_command_source_matrix(command, kind, valid, tmp_path):
     assert code in (0, 1, 2, 3)
     if code:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert out.getvalue() == ""
     if (command, kind) == ("encode", "grid"):  # a grid file holds no half grids
         assert (code, out.getvalue()) == (2, "")
         assert "--trees, --partitions or --perms" in err.getvalue()

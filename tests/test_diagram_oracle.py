@@ -12,6 +12,7 @@ import io
 import itertools
 from collections import Counter
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -252,6 +253,71 @@ def oracle_state_sum_bracket(g):
     return total
 
 
+_CHARS = {
+    True: {"h": "─", "v": "│", "X": "X", "O": "O", "B": "⊗"},
+    False: {"h": "-", "v": "|", "X": "X", "O": "O", "B": "*"},
+}
+
+
+def oracle_render_ascii(obj, ascii_only=False):
+    """Cell by cell: fill each column's span, then draw each row over it."""
+    chars = _CHARS[not ascii_only]
+    d = diagram(obj)
+    columns = []  # bottom to top
+    for lo, hi in d.spans:
+        lo = max(lo, 1)
+        columns.append([" "] * (lo - 1) + [chars["v"]] * (hi - lo + 1) + [" "] * (d.height - hi))
+    grid = [list(line) for line in zip(*columns)]
+    marks = (chars["X"], chars["O"]) if d.oriented else (chars["B"], chars["B"])
+    for line, (x, o) in zip(grid, d.rows):
+        line[min(x, o) - 1:max(x, o)] = [chars["h"]] * (abs(o - x) + 1)  # over: unbroken
+        line[x - 1], line[o - 1] = marks
+    return "\n".join("".join(line) for line in reversed(grid))
+
+
+def oracle_arcs(d):
+    """PD arcs by walking stub lists built per row and per column."""
+    ends = 4 * len(d.positions)
+    link = [0] * (ends + 4 * d.height)
+
+    def mark_stub(c, r, column):  # left mark of a row first
+        x, o = d.rows[r - 1]
+        return ends + 4 * (r - 1) + 2 * (c == max(x, o)) + column
+
+    def join(stops):
+        for a, b in zip(stops[0::2], stops[1::2]):
+            link[a], link[b] = b, a
+
+    for r, ks in enumerate(d.row_crossings, start=1):
+        lo, hi = sorted(d.rows[r - 1])
+        join([mark_stub(lo, r, False), *(4 * k + e for k in ks for e in (0, 1)),
+              mark_stub(hi, r, False)])
+    for c, ks in enumerate(d.col_crossings, start=1):
+        lo, hi = d.spans[c - 1]
+        join([mark_stub(c, lo, True), *(4 * k + e for k in ks for e in (2, 3)),
+              mark_stub(c, hi, True)])
+
+    seen = bytearray(len(link))
+    label = [-1] * ends
+    arcs = 0
+    for e in range(ends):
+        if label[e] < 0:
+            s = link[e]
+            while s >= ends:
+                seen[s] = seen[s ^ 1] = 1
+                s = link[s ^ 1]
+            label[e] = label[s] = arcs
+            arcs += 1
+    loops = 0
+    for start in range(ends, len(link), 2):
+        s = start
+        loops += not seen[s]
+        while not seen[s]:
+            seen[s] = seen[s ^ 1] = 1
+            s = link[s ^ 1]
+    return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), arcs, loops
+
+
 # --- inputs ------------------------------------------------------------------
 
 @st.composite
@@ -313,6 +379,9 @@ def busy_grids(max_size=40, min_size=4, max_leaves=20):
 
 
 any_grid = st.one_of(busy_grids(), oriented_grids(8))  # small and crossingless ones too
+half_grids = st.integers(1, 20).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))).map(
+    lambda images: perm_decode(Permutation(tuple(images)))
+)
 
 
 def check_record(g):
@@ -335,10 +404,21 @@ def test_record_matches_oracles(g):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, 20).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
-def test_half_grid_crossings_match_oracle(images):
-    h = perm_decode(Permutation(tuple(images)))
+@given(half_grids)
+def test_half_grid_crossings_match_oracle(h):
     assert [(x.col, x.row, x.sign) for x in half_grid_crossings(h)] == oracle_half_grid_crossings(h)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(any_grid, unoriented_grids(8), half_grids), st.booleans())
+def test_render_ascii_matches_oracle(obj, ascii_only):
+    assert linkdiag.render_ascii(obj, ascii_only) == oracle_render_ascii(obj, ascii_only)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_grid)
+def test_arcs_match_oracle(g):
+    assert diagram(g).arcs == oracle_arcs(diagram(g))
 
 
 @settings(max_examples=40, deadline=None)
@@ -395,3 +475,21 @@ def test_invariants_builds_one_diagram(monkeypatch):
         code = cli.main(["invariants", "--trees", "(((..).).)|(((..).).)"])
     assert code == 0 and "seifert_circles=" in out.getvalue()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv,sweeps", [
+    (["render", "--ascii-only"], 0),  # text needs only the spans and rows
+    (["invariants"], 1),
+])
+def test_crossings_are_found_once_and_only_when_read(monkeypatch, argv, sweeps):
+    calls = []
+
+    def counted(rows, spans):
+        calls.append(rows)
+        return sweep(rows, spans)
+
+    sweep = linkdiag._sweep
+    monkeypatch.setattr(linkdiag, "_sweep", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main([*argv, "--trees", "(((..).).)|(((..).).)"])
+    assert code == 0 and len(calls) == sweeps

@@ -207,6 +207,8 @@ class TestCodec:
             Permutation((1, 1, 2))
         with pytest.raises(NotAPermutation):
             perm_decode(Permutation((2, 3, 1)))  # odd degree
+        with pytest.raises(NotAPermutation):
+            perm_decode(Permutation(()))  # no rows
         with pytest.raises(ParseError):
             parse_permutation("1 two 3")
 
