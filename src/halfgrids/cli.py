@@ -75,7 +75,7 @@ def _grid(args) -> GridDiagram:
         try:
             with open(args.grid, encoding="utf-8") as fh:
                 text = fh.read().strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.grid}: {exc}") from None
         return parse_grid(text)
     plus, minus = _half_grids(args)

@@ -379,114 +379,72 @@ _A_ENDS = tuple((_END[p], _END[q]) for p, q in _A_PAIRS)
 _B_ENDS = tuple((_END[p], _END[q]) for p, q in _B_PAIRS)
 
 
+def _splice(mate, arcs, ends) -> int:
+    """Smooth one crossing with PD arcs `arcs` by joining the ends paired in
+    `ends`; returns the loops that close.
+
+    The smoothings made so far join the arcs into paths, each open at two
+    unsmoothed crossing ends.  mate[x] is the arc at the far open end of the
+    path that arc x's next unsmoothed end starts, so an arc with neither end
+    smoothed is its own path and mate[x] == x.  Joining the ends on arcs x
+    and y closes a loop when mate[x] == y and splices two paths otherwise;
+    that covers an arc with both ends at this crossing too.  Entries of arcs
+    with both ends smoothed are left stale."""
+    loops = 0
+    for p, q in ends:
+        x, y = arcs[p], arcs[q]
+        if mate[x] == y:
+            loops += 1
+        else:
+            far_x, far_y = mate[x], mate[y]
+            mate[far_x], mate[far_y] = far_y, far_x
+    return loops
+
+
 def _loops(d: PlanarDiagram, a_smoothed) -> int:
     """Circles left after smoothing crossing k A-wise where a_smoothed[k]
-    is true and B-wise where it is false."""
+    is true and B-wise where it is false: one `_splice` per crossing on a
+    mate table that starts with every arc its own path, plus the free loops."""
     pd, arc_count, free_loops = d.arcs
-    parent = list(range(arc_count))  # union-find with path halving
-    merges = 0
+    mate = list(range(arc_count))
+    loops = free_loops
     for arcs, a in zip(pd, a_smoothed):
-        for p, q in _A_ENDS if a else _B_ENDS:
-            x, y = arcs[p], arcs[q]
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            while parent[y] != y:
-                parent[y] = y = parent[parent[y]]
-            if x != y:
-                parent[x] = y
-                merges += 1
-    return arc_count - merges + free_loops
-
-
-def _smooth(reach: tuple[int, ...], pairs) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """Smooth one crossing whose end i leads back to end reach[i] of the same
-    crossing, or out of it when reach[i] < 0.  Returns the loops that close
-    and the pairs of ends that the smoothing joins by a path."""
-    partner = [0] * 4
-    for p, q in pairs:
-        partner[p], partner[q] = q, p
-    seen = [False] * 4
-    joins = []
-    for start in range(4):
-        if reach[start] < 0 and not seen[start]:
-            i = start
-            while True:
-                j = partner[i]
-                seen[i] = seen[j] = True
-                if reach[j] < 0:
-                    break
-                i = reach[j]
-            joins.append((start, j))
-    loops = 0
-    for start in range(4):
-        loops += not seen[start]
-        i = start
-        while not seen[i]:
-            seen[i] = seen[partner[i]] = True
-            i = reach[partner[i]]
-    return loops, tuple(joins)
-
-
-def _reaches():
-    """Every way the four ends of a crossing can lead back to each other:
-    through no pair of ends, or one or both pairs of a pairing of the ends."""
-    for pairing in (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2))):
-        for used in ((), pairing[:1], pairing[1:], pairing):
-            reach = [-1] * 4
-            for i, j in used:
-                reach[i], reach[j] = j, i
-            yield tuple(reach)
-
-
-# reach -> (A-smoothing?, loops closed, ends joined) for the A and the B smoothing
-_SMOOTH = {
-    reach: tuple((a, *_smooth(reach, ends)) for a, ends in ((1, _A_ENDS), (0, _B_ENDS)))
-    for reach in _reaches()
-}
-_NO_MATE = 0xFF  # a bracket diagram has 2c <= 48 arcs, so one byte names any
+        loops += _splice(mate, arcs, _A_ENDS if a else _B_ENDS)
+    return loops
 
 
 def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     """Bracket of the unoriented reading, loop weight -A^2 - A^-2,
     normalized so a crossingless unknot diagram gives 1.
 
-    Kauffman's state sum, contracted one crossing at a time in record order
-    (row by row, so a horizontal sweep).  An arc dangles while exactly one
-    of its ends is at a smoothed crossing.  The smoothings made so far join
-    the dangling arcs in pairs; smoothings that give the same pairing are
-    merged, keeping their state counts per (A-smoothings, closed loops).
-    The cost is exponential in the number of arcs a cut meets, not in the
-    crossing count."""
+    Kauffman's state sum, contracted one crossing at a time in the order of
+    the PD code (row by row, so a horizontal sweep).  A state is a `_splice`
+    mate table: the pairing of open path ends that the smoothings made so
+    far leave.  After each smoothing the arcs this crossing finished (both
+    ends smoothed) are reset to mate[x] = x, so smoothings that give the
+    same pairing give the same table and are merged, keeping their state
+    counts per (A-smoothings, closed loops).  One byte per arc names any
+    mate, as a bracket diagram has 2c <= 48 arcs.  The cost is exponential
+    in the number of arcs a cut meets, not in the crossing count."""
     c = len(_crossing_positions(g))
     if c > BRACKET_CAP:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
     pd, arc_count, free_loops = diagram(g).arcs
     stride = arc_count + 1  # histogram key: A-smoothings * stride + closed loops
     met = [0] * arc_count  # ends of each arc at smoothed crossings
-    # pairing -> histogram; in a pairing, byte x is the arc joined to the
-    # dangling arc x, and _NO_MATE for an arc that does not dangle
-    states: dict[bytes, dict[int, int]] = {bytes([_NO_MATE] * arc_count): {0: 1}}
+    states: dict[bytes, dict[int, int]] = {bytes(range(arc_count)): {0: 1}}
     for arcs in pd:
-        old = [i for i, x in enumerate(arcs) if met[x]]
-        at = {arcs[i]: i for i in old}
-        fixed = [next((j for j in range(4) if j != i and arcs[j] == x), -1)
-                 for i, x in enumerate(arcs)]
         for x in arcs:
             met[x] += 1
+        done = {x for x in arcs if met[x] == 2}
         merged: dict[bytes, dict[int, int]] = {}
         for mate, counts in states.items():
-            reach, far = list(fixed), list(arcs)  # far: the arc an end leads out to
-            for i in old:
-                far[i] = mate[arcs[i]]
-                reach[i] = at.get(far[i], -1)
-            for a, loops, joins in _SMOOTH[tuple(reach)]:
+            for a, ends in ((1, _A_ENDS), (0, _B_ENDS)):
                 m = bytearray(mate)
-                for i in old:
-                    m[arcs[i]] = _NO_MATE
-                for i, j in joins:
-                    m[far[i]], m[far[j]] = far[j], far[i]
+                shift = a * stride + _splice(m, arcs, ends)
+                for x in done:
+                    m[x] = x
                 out = merged.setdefault(bytes(m), {})
-                shift = a * stride + loops
                 for key, count in counts.items():
                     out[key + shift] = out.get(key + shift, 0) + count
         states = merged

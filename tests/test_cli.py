@@ -73,6 +73,13 @@ class TestBuild:
 
 
 class TestInvariants:
+    def test_grid_file_not_utf8_is_input_error(self, capsys, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_bytes(b"\xffn=2; X=1,2; O=2,1; oriented=true\n")
+        code, out, err = run(capsys, "invariants", "--grid", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ") and err.count("\n") == 1
+
     def test_oriented(self, capsys):
         code, out, _ = run(capsys, "invariants", "--trees", "(..)|(..)")
         assert code == 0

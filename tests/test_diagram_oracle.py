@@ -17,6 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from halfgrids import cli, linkdiag
+from halfgrids.dyadic import DEPTH_CAP
 from halfgrids.halfgrid import (
     GridDiagram,
     assemble,
@@ -238,6 +239,26 @@ def oracle_bracket(g):
     return total
 
 
+def oracle_loops(d, a_smoothed):
+    """Circles left after smoothing crossing k A-wise where a_smoothed[k]
+    is true and B-wise where it is false, by union-find over the PD arcs:
+    each pair of ends that a smoothing joins merges the classes of its arcs."""
+    pd, arc_count, free_loops = d.arcs
+    parent = list(range(arc_count))  # union-find with path halving
+    merges = 0
+    for arcs, a in zip(pd, a_smoothed):
+        for p, q in _A_ENDS if a else _B_ENDS:
+            x, y = arcs[p], arcs[q]
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            while parent[y] != y:
+                parent[y] = y = parent[parent[y]]
+            if x != y:
+                parent[x] = y
+                merges += 1
+    return arc_count - merges + free_loops
+
+
 def oracle_state_sum_bracket(g):
     """Histogram state sum over the record's PD arcs: all 2^c smoothings,
     each counted under its (A-smoothings, loops) pair."""
@@ -246,7 +267,7 @@ def oracle_state_sum_bracket(g):
     states = Counter()
     for state in range(1 << c):
         smoothing = [state >> i & 1 for i in range(c)]
-        states[sum(smoothing), _loops(d, smoothing)] += 1
+        states[sum(smoothing), oracle_loops(d, smoothing)] += 1
     total = LaurentPoly()
     for (a_count, loops), count in states.items():
         total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
@@ -343,13 +364,15 @@ def unoriented_grids(draw, max_size=40, min_size=2):
 
 @st.composite
 def trees(draw, leaves):
-    def build(k):
+    """A random tree no deeper than DEPTH_CAP, which half grids accept."""
+    def build(k, room):  # room: the leaves the levels below could hold
         if k == 1:
             return LEAF
-        left = draw(st.integers(1, k - 1))
-        return node(build(left), build(k - left))
+        half = room // 2
+        left = draw(st.integers(max(1, k - half), min(k - 1, half)))
+        return node(build(left, half), build(k - left, half))
 
-    return build(leaves)
+    return build(leaves, 2 ** DEPTH_CAP)
 
 
 @st.composite
@@ -419,6 +442,16 @@ def test_render_ascii_matches_oracle(obj, ascii_only):
 @given(any_grid)
 def test_arcs_match_oracle(g):
     assert diagram(g).arcs == oracle_arcs(diagram(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(any_grid, tree_stacks(200, min_leaves=66).filter(lambda g: g.oriented)), st.data())
+def test_loops_match_oracle(g, data):
+    """Any smoothing, also on compatible tree stacks with 260 to 796 arcs."""
+    d = diagram(g)
+    c = len(d.positions)
+    smoothing = data.draw(st.lists(st.booleans(), min_size=c, max_size=c))
+    assert _loops(d, smoothing) == oracle_loops(d, smoothing)
 
 
 @settings(max_examples=40, deadline=None)
