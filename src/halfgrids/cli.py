@@ -89,16 +89,17 @@ def cmd_build(args) -> int:
         print(format_grid(_grid(args)))
         return 0
     plus, minus = _half_grids(args)
-    print(f"plus:  {format_half_grid(plus)}")
-    print(f"minus: {format_half_grid(minus)}")
     if is_compatible(plus, minus):
-        print(f"grid:  {format_grid(assemble(plus, minus))}")
+        g = assemble(plus, minus)
     elif args.unoriented:
-        print(f"grid:  {format_grid(assemble_unoriented(plus, minus))}")
+        g = assemble_unoriented(plus, minus)
     else:
         raise Incompatible(
             "half grids are not compatible; pass --unoriented to stack anyway"
         )
+    print(f"plus:  {format_half_grid(plus)}")
+    print(f"minus: {format_half_grid(minus)}")
+    print(f"grid:  {format_grid(g)}")
     return 0
 
 
@@ -119,12 +120,12 @@ def cmd_render(args) -> int:
 
 def cmd_invariants(args) -> int:
     g = _grid(args)
-    xs = linkdiag._crossing_positions(g)  # builds the diagram the rest reads
+    crossings = len(linkdiag.diagram(g).positions)  # builds the diagram the rest reads
     comps, cycles = linkdiag.components(g)
     print(f"size={g.size}")
     print(f"components={comps}")
     print("cycles=" + " ".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
-    print(f"crossings={len(xs)}")
+    print(f"crossings={crossings}")
     if g.oriented:
         stats = linkdiag.front_stats(g)
         circles, euler = linkdiag.seifert_stats(g)
@@ -134,11 +135,11 @@ def cmd_invariants(args) -> int:
         print(f"rot={stats.rot}")
         print(f"seifert_circles={circles}")
         print(f"seifert_euler={euler}")
-    if len(xs) <= linkdiag.BRACKET_CAP:
+    if crossings <= linkdiag.BRACKET_CAP:
         # the bracket reads any grid unoriented, so it shares the diagram of g
         print(f"bracket={linkdiag.kauffman_bracket(g)}")
     else:
-        print(f"bracket=skipped ({len(xs)} crossings exceed cap {linkdiag.BRACKET_CAP})")
+        print(f"bracket=skipped ({crossings} crossings exceed cap {linkdiag.BRACKET_CAP})")
     return 0
 
 

@@ -81,16 +81,7 @@ class GridDiagram:
         else:
             if any(x_count[c] + o_count[c] != 2 for c in range(1, m + 1)):
                 raise ValueError("each column needs exactly two marks")
-        # column spans, filled bottom row first so each pair comes out ascending
-        lo = [0] * m
-        hi = [0] * m
-        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
-            for c in (x, o):
-                if lo[c - 1]:
-                    hi[c - 1] = r
-                else:
-                    lo[c - 1] = r
-        object.__setattr__(self, "_spans", tuple(zip(lo, hi)))
+        _fill_spans(self)
 
     def column_rows(self, c: int) -> tuple[int, int]:
         """The two rows holding marks in column c, ascending."""
@@ -103,6 +94,33 @@ class GridDiagram:
 
     def __str__(self) -> str:
         return format_grid(self)
+
+
+def _fill_spans(g: GridDiagram) -> None:
+    """The column span table, filled bottom row first so each pair comes
+    out ascending."""
+    lo = [0] * g.size
+    hi = [0] * g.size
+    for r, (x, o) in enumerate(zip(g.x_cols, g.o_cols), start=1):
+        for c in (x, o):
+            if lo[c - 1]:
+                hi[c - 1] = r
+            else:
+                lo[c - 1] = r
+    object.__setattr__(g, "_spans", tuple(zip(lo, hi)))
+
+
+def _trusted_grid(size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
+                  oriented: bool) -> GridDiagram:
+    """A GridDiagram from marks stacked out of two valid half grids; fills
+    only the span table and skips the checks that parsed and user-built
+    grids go through."""
+    g = object.__new__(GridDiagram)
+    for name, value in (("size", size), ("x_cols", x_cols), ("o_cols", o_cols),
+                        ("oriented", oriented)):
+        object.__setattr__(g, name, value)
+    _fill_spans(g)
+    return g
 
 
 @dataclass(frozen=True)
@@ -238,7 +256,7 @@ def assemble(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
     if not is_compatible(top, bottom):
         raise Incompatible("half grids disagree in some column")
     x_cols, o_cols = _stacked_coords(top, bottom)
-    return GridDiagram(2 * top.n, x_cols, o_cols, oriented=True)
+    return _trusted_grid(2 * top.n, x_cols, o_cols, oriented=True)
 
 
 def assemble_unoriented(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
@@ -246,7 +264,7 @@ def assemble_unoriented(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
     if top.n != bottom.n:
         raise SizeMismatch(f"half grid sizes differ: {top.n} vs {bottom.n}")
     x_cols, o_cols = _stacked_coords(top, bottom)
-    return GridDiagram(2 * top.n, x_cols, o_cols, oriented=False)
+    return _trusted_grid(2 * top.n, x_cols, o_cols, oriented=False)
 
 
 def perm_encode(h: HalfGrid) -> Permutation:

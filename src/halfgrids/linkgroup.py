@@ -45,6 +45,16 @@ class GroupPresentation:
         return format_presentation(self)
 
 
+def _trusted(generator_count: int, relators: tuple[Word, ...]) -> GroupPresentation:
+    """A GroupPresentation whose relators were built from a valid grid or
+    two valid permutations; skips the letter range check over all of them
+    that presentations built by hand go through."""
+    p = object.__new__(GroupPresentation)
+    object.__setattr__(p, "generator_count", generator_count)
+    object.__setattr__(p, "relators", relators)
+    return p
+
+
 def grid_presentation(g: GridDiagram) -> GroupPresentation:
     """One generator per column; relator j lists, left to right, the columns
     whose vertical segment crosses the horizontal line between rows j, j+1.
@@ -63,7 +73,7 @@ def grid_presentation(g: GridDiagram) -> GroupPresentation:
                 started[c] = 1
                 insort(active, c)
         relators.append(tuple(active))
-    return GroupPresentation(g.size, tuple(relators))
+    return _trusted(g.size, tuple(relators))
 
 
 def grid_relation_edges(g: GridDiagram) -> list[Edge]:
@@ -90,7 +100,7 @@ def half_grid_presentation(sigma_plus: Permutation, sigma_minus: Permutation) ->
             for x in sigma.images[2 * i - 2 : 2 * i]:
                 del kept[bisect_left(kept, x)]
             relators.append(tuple(kept))
-    return GroupPresentation(2 * n, tuple(relators))
+    return _trusted(2 * n, tuple(relators))
 
 
 def half_grid_relation_edges(sigma_plus: Permutation, sigma_minus: Permutation) -> list[Edge]:

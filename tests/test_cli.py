@@ -33,9 +33,10 @@ class TestBuild:
         assert "grid:  n=4" in out
 
     def test_incompatible_is_domain_error(self, capsys):
-        code, _, err = run(capsys, "build", "--perms", "4 2 5 3 1 6", "3 1 5 2 6 4")
+        code, out, err = run(capsys, "build", "--perms", "4 2 5 3 1 6", "3 1 5 2 6 4")
         assert code == 1
         assert "not compatible" in err
+        assert out == ""  # no half output before the error
 
     def test_incompatible_with_unoriented_flag(self, capsys):
         code, out, _ = run(

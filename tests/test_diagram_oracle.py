@@ -36,6 +36,8 @@ from halfgrids.linkdiag import (
     LaurentPoly,
     _crossing_positions,
     _loops,
+    _splice,
+    _sweep_order,
     components,
     crossings,
     diagram,
@@ -45,7 +47,7 @@ from halfgrids.linkdiag import (
     seifert_stats,
     writhe,
 )
-from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node
+from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, parse_pair
 
 EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
@@ -274,6 +276,55 @@ def oracle_state_sum_bracket(g):
     return total
 
 
+def oracle_row_sweep_bracket(g):
+    """The bracket contracted in row order, the record's crossing order,
+    whatever its frontier width: the production contraction before it
+    chose between row and column order."""
+    c = len(_crossing_positions(g))
+    pd, arc_count, free_loops = diagram(g).arcs
+    stride = arc_count + 1  # histogram key: A-smoothings * stride + closed loops
+    met = [0] * arc_count
+    states = {bytes(range(arc_count)): {0: 1}}
+    for arcs in pd:
+        for x in arcs:
+            met[x] += 1
+        done = {x for x in arcs if met[x] == 2}
+        merged = {}
+        for mate, counts in states.items():
+            for a, ends in ((1, _A_ENDS), (0, _B_ENDS)):
+                m = bytearray(mate)
+                shift = a * stride + _splice(m, arcs, ends)
+                for x in done:
+                    m[x] = x
+                out = merged.setdefault(bytes(m), {})
+                for key, count in counts.items():
+                    out[key + shift] = out.get(key + shift, 0) + count
+        states = merged
+    (counts,) = states.values()
+    total = LaurentPoly()
+    for key, count in counts.items():
+        a_count, loops = divmod(key, stride)
+        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops + free_loops - 1)
+    return total
+
+
+def oracle_frontier_width(d, order):
+    """Peak count, over the prefixes of order, of the arcs that have exactly
+    one of their two PD ends at a crossing in the prefix."""
+    pd, _, _ = d.arcs
+    ends = Counter()
+    width = 0
+    for k in order:
+        ends.update(pd[k])
+        width = max(width, sum(1 for n in ends.values() if n == 1))
+    return width
+
+
+def sweep_orders(d):
+    """(row order, column order) of d's crossings."""
+    return list(range(len(d.positions))), [k for ks in d.col_crossings for k in ks]
+
+
 _CHARS = {
     True: {"h": "─", "v": "│", "X": "X", "O": "O", "B": "⊗"},
     False: {"h": "-", "v": "|", "X": "X", "O": "O", "B": "*"},
@@ -466,6 +517,44 @@ def test_bracket_matches_oracle(g):
 def test_bracket_matches_state_sum(g):
     assume(len(_crossing_positions(g)) <= 14)
     assert kauffman_bracket(g) == oracle_state_sum_bracket(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(busy_grids(12, min_size=6, max_leaves=12))
+def test_bracket_matches_row_sweep(g):
+    """The chosen sweep order gives the row sweep's bracket, up to c = 22
+    (tree stacks with 12 leaves), where the row sweep is still quick."""
+    assume(len(_crossing_positions(g)) <= 22)
+    assert kauffman_bracket(g) == oracle_row_sweep_bracket(g)
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_grid)
+def test_sweep_order_is_the_narrower(g):
+    d = diagram(g)
+    rows, columns = sweep_orders(d)
+    row, column = (oracle_frontier_width(d, order) for order in (rows, columns))
+    order, width = _sweep_order(d)
+    assert width == min(row, column)
+    assert list(order) == (rows if row <= column else columns)  # a tie keeps row order
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_grid)
+def test_sweep_order_is_a_permutation_of_the_crossings(g):
+    order, _ = _sweep_order(diagram(g))
+    assert sorted(order) == list(range(len(diagram(g).positions)))
+
+
+def test_sweep_widths_of_a_golden_tree_stack():
+    """trees-n7 of the golden fixtures: a horizontal cut meets every one of
+    the 14 columns, a vertical one 6 arcs at most."""
+    pair = parse_pair("(.(((..).)(.(..))))|(.((((..).)(..)).))")
+    g = assemble(half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom))
+    assert len(_crossing_positions(g)) == 12
+    d = diagram(g)
+    assert [oracle_frontier_width(d, order) for order in sweep_orders(d)] == [14, 6]
+    assert _sweep_order(d)[1] == 6
 
 
 def test_bracket_with_an_arc_closing_at_its_own_crossing():

@@ -136,7 +136,32 @@ class TestHalfGrid:
             is_compatible(a, b)
 
 
+@st.composite
+def half_grid_pairs(draw, max_n=20):
+    """Two random half grids with n rows; compatible when the second one
+    takes the first one's X columns and O columns, each reshuffled."""
+    n = draw(st.integers(1, max_n))
+    top = perm_decode(Permutation(tuple(draw(st.permutations(range(1, 2 * n + 1))))))
+    if draw(st.booleans()):
+        x_cols, o_cols = (tuple(draw(st.permutations(cols))) for cols in (top.x_cols, top.o_cols))
+        return top, HalfGrid(n, x_cols, o_cols)
+    return top, perm_decode(Permutation(tuple(draw(st.permutations(range(1, 2 * n + 1))))))
+
+
 class TestAssemble:
+    @settings(max_examples=200, deadline=None)
+    @given(half_grid_pairs())
+    def test_stacks_equal_validated_grids(self, pair):
+        """Stacks skip the grid checks; each equals the grid that passes
+        them, span table included."""
+        top, bottom = pair
+        stacks = [assemble_unoriented(top, bottom)]
+        if is_compatible(top, bottom):
+            stacks.append(assemble(top, bottom))
+        for g in stacks:
+            fresh = GridDiagram(g.size, g.x_cols, g.o_cols, g.oriented)
+            assert g == fresh and g._spans == fresh._spans
+
     def test_unknot(self):
         h = HalfGrid(1, (2,), (1,))
         g = assemble(h, h)

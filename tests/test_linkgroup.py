@@ -62,6 +62,12 @@ class TestGridPresentation:
                 assert len(pres.relators) == g.size - 1
 
 
+def _perm_pairs(max_n):
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(*[st.permutations(range(1, 2 * n + 1))] * 2)
+    )
+
+
 class TestHalfGridPresentation:
     def test_trefoil_example_verbatim(self):
         pres = half_grid_presentation(SIGMA_PLUS, SIGMA_MINUS)
@@ -110,6 +116,15 @@ class TestHalfGridPresentation:
         with pytest.raises(ValueError, match="^letter 0 out of range$"):
             GroupPresentation(4, ((), (2, 0)))
         GroupPresentation(4, ((), (-4, 4, -1, 1)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_perm_pairs(8), st.one_of(oriented_grids(12), unoriented_grids(12)))
+    def test_built_presentations_pass_the_letter_check(self, pair, g):
+        """The two constructors skip the letter range check; the relators
+        they build pass it."""
+        sp, sm = (Permutation(tuple(p)) for p in pair)
+        for pres in (half_grid_presentation(sp, sm), grid_presentation(g)):
+            assert GroupPresentation(pres.generator_count, pres.relators) == pres
 
 
 class TestSmithNormalForm:
@@ -188,12 +203,6 @@ class TestAbelianization:
                 free_rank, torsion = abelianization(pres)
                 assert free_rank == components(g)[0]
                 assert torsion == []
-
-
-def _perm_pairs(max_n):
-    return st.integers(1, max_n).flatmap(
-        lambda n: st.tuples(*[st.permutations(range(1, 2 * n + 1))] * 2)
-    )
 
 
 @st.composite
