@@ -17,10 +17,6 @@ class NoConjugate(HalfGridError):
     """[0,1] has no conjugate."""
 
 
-class NotARefinement(HalfGridError):
-    """Target tree does not contain the source tree as a rooted prefix."""
-
-
 class SizeMismatch(HalfGridError):
     """Half grids of different sizes cannot be compared or stacked."""
 

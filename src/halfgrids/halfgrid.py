@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .dyadic import DEPTH_CAP, SdPartition, conjugate, sign, spanning_intervals
 from .errors import DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch
-from .thompson import Tree, _indices
+from .thompson import Tree
 
 
 @dataclass(frozen=True)
@@ -90,7 +90,9 @@ class GridDiagram:
         return self._spans[c - 1]
 
     def unoriented(self) -> "GridDiagram":
-        return GridDiagram(self.size, self.x_cols, self.o_cols, oriented=False)
+        """The same marks read as one symbol.  A valid grid, oriented or
+        not, has two marks in every column, so the result needs no re-check."""
+        return _trusted_grid(self.size, self.x_cols, self.o_cols, oriented=False)
 
     def __str__(self) -> str:
         return format_grid(self)
@@ -112,9 +114,9 @@ def _fill_spans(g: GridDiagram) -> None:
 
 def _trusted_grid(size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
                   oriented: bool) -> GridDiagram:
-    """A GridDiagram from marks stacked out of two valid half grids; fills
-    only the span table and skips the checks that parsed and user-built
-    grids go through."""
+    """A GridDiagram from marks stacked out of two valid half grids or
+    copied from a valid grid; fills only the span table and skips the
+    checks that parsed and user-built grids go through."""
     g = object.__new__(GridDiagram)
     for name, value in (("size", size), ("x_cols", x_cols), ("o_cols", o_cols),
                         ("oriented", oriented)):
@@ -175,7 +177,7 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
     n = len(depths)
     walk = []  # heap ids of the spanning intervals, midpoint order
-    for d, k in zip(depths, _indices(depths)):
+    for d, k in zip(depths, t.indices):
         h = (1 << d) | k
         walk.append(h)
         walk.append(h >> (h ^ (h + 1)).bit_length())

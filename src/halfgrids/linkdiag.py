@@ -364,7 +364,6 @@ class LaurentPoly:
 
 
 LOOP = LaurentPoly({2: -1, -2: -1})  # -A^2 - A^-2
-NEG_A_CUBED = LaurentPoly.monomial(-1, 3)
 
 # At a crossing the over strand is horizontal.  The A-regions are the ones
 # swept by rotating the over strand counterclockwise (NE and SW); the
@@ -490,18 +489,6 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
         for e, coef in loop_power[loops - low].coeffs.items():
             total[e + shift] = total.get(e + shift, 0) + count * coef
     return LaurentPoly(total)
-
-
-def framing_shift(p: LaurentPoly, q: LaurentPoly) -> int | None:
-    """k with p == (-A^3)^k * q, or None if no such integer exists."""
-    if not p.coeffs or not q.coeffs:
-        return 0 if p == q else None
-    diff = min(p.coeffs) - min(q.coeffs)
-    if diff % 3:
-        return None
-    k = diff // 3
-    shifted = q * (NEG_A_CUBED ** k if k >= 0 else NEG_A_CUBED.mirror() ** (-k))
-    return k if shifted == p else None
 
 
 # --- rendering ---------------------------------------------------------------

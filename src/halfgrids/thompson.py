@@ -6,24 +6,25 @@ bottom's, linearly in between.  Pairs coming out of the group operations
 are always reduced.
 
 A tree is the tuple of its leaf depths, left to right: a leaf of depth d
-and index k is the standard dyadic interval [k/2^d, (k+1)/2^d].  Every
-operation is one linear scan over these tuples without recursion, so trees
-of any depth work; only breakpoints, half grids and map values meet
-DEPTH_CAP.
+and index k is the standard dyadic interval [k/2^d, (k+1)/2^d].  A tree
+keeps the leaf indices found by the scan that validated or built it, so no
+later operation scans its depths for them again.  Every operation is one
+linear scan over these tuples without recursion, so trees of any depth
+work; only breakpoints, half grids and map values meet DEPTH_CAP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .dyadic import (
     DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, sign, spanning_intervals,
 )
-from .errors import DepthExceeded, NotARefinement, ParseError
+from .errors import DepthExceeded, ParseError
 
 
-def _indices(depths) -> list[int]:
+def _indices(depths) -> tuple[int, ...]:
     """Index k of each leaf at its own depth d, as an exact int: the leaf is
     [k/2^d, (k+1)/2^d].  Raises ValueError unless these intervals tile
     [0,1] left to right, that is, unless the depths are a binary tree's."""
@@ -43,34 +44,41 @@ def _indices(depths) -> list[int]:
         prev = d
     if k != 1 << prev:
         raise ValueError("not the leaf depths of a binary tree")
-    return out
-
-
-def _closes(depths) -> list[int]:
-    """Per leaf, how many subtrees end at it: its run of right-child steps
-    upward, the number of trailing 1-bits of its index."""
-    return [(k ^ (k + 1)).bit_length() - 1 for k in _indices(depths)]
+    return tuple(out)
 
 
 @dataclass(frozen=True)
 class Tree:
-    """A full binary tree, given by the depths of its leaves left to right."""
+    """A full binary tree, given by the depths of its leaves left to right.
+
+    Equality, hashing and repr use the depths alone; `indices` is derived
+    from them."""
 
     depths: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "depths", tuple(self.depths))
-        _indices(self.depths)
+        depths = tuple(self.depths)
+        object.__setattr__(self, "depths", depths)
+        object.__setattr__(self, "indices", _indices(depths))
+
+    @cached_property
+    def indices(self) -> tuple[int, ...]:
+        """The leaf indices `_indices` finds for these depths."""
+        return _indices(self.depths)
 
     def __str__(self) -> str:
         return format_tree(self)
 
 
-def _trusted(depths: tuple[int, ...]) -> Tree:
+def _trusted(depths: tuple[int, ...], indices: tuple[int, ...] | None = None) -> Tree:
     """A Tree from depths the tree algebra built out of valid trees; skips
-    the `_indices` re-check that parsed and user-built trees go through."""
+    the `_indices` re-check that parsed and user-built trees go through.
+    Indices the builder knows are kept; otherwise they are found on first
+    read."""
     t = object.__new__(Tree)
     object.__setattr__(t, "depths", depths)
+    if indices is not None:
+        object.__setattr__(t, "indices", indices)
     return t
 
 
@@ -84,7 +92,10 @@ def node(left: Tree, right: Tree) -> Tree:
 def format_tree(t: Tree) -> str:
     parts = []
     open_ = 0
-    for d, c in zip(t.depths, _closes(t.depths)):
+    # c: how many subtrees end at the leaf, its run of right-child steps
+    # upward, the number of trailing 1-bits of its index
+    for d, k in zip(t.depths, t.indices):
+        c = (k ^ (k + 1)).bit_length() - 1
         parts.append("(" * (d - open_) + "." + ")" * c)
         open_ = d - c
     return "".join(parts)
@@ -132,21 +143,16 @@ def tree_from_partition(p: SdPartition) -> Tree:
 def partition_from_tree(t: Tree) -> SdPartition:
     if max(t.depths) > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    lows = (Dyadic(k, d) for k, d in zip(_indices(t.depths), t.depths))
+    lows = (Dyadic(k, d) for k, d in zip(t.indices, t.depths))
     return SdPartition((*lows, ONE))
 
 
 def leaf_signs(t: Tree) -> tuple[str, ...]:
     """Sign per leaf, left to right: root +, left child inherits, right flips.
 
-    That is '-' when the leaf's index has an odd number of 1-bits; adding 1
-    to an index with c trailing 1-bits changes that count by 1 - c."""
-    signs = []
-    odd = 0
-    for c in _closes(t.depths):
-        signs.append("-" if odd else "+")
-        odd ^= (1 - c) & 1
-    return tuple(signs)
+    That is '-' when the leaf's index has an odd number of 1-bits: each
+    1-bit of the index is a right-child step on the leaf's path."""
+    return tuple("-" if k.bit_count() & 1 else "+" for k in t.indices)
 
 
 def _align(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -178,28 +184,6 @@ def _align(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int, int]]
         else:
             j += 1
             y = b[j]
-
-
-def graft(t: Tree, grafts: list[Tree]) -> Tree:
-    """Replace leaf i with grafts[i], for all leaves left to right."""
-    if len(grafts) != len(t.depths):
-        raise ValueError("need one graft per leaf")
-    return _trusted(tuple(d + e for d, g in zip(t.depths, grafts) for e in g.depths))
-
-
-def tree_union(a: Tree, b: Tree) -> Tree:
-    """Least common refinement of two trees."""
-    return Tree(tuple(d for d, _, _ in _align(a.depths, b.depths)))
-
-
-def grafts_between(base: Tree, refined: Tree) -> list[Tree]:
-    """Subtrees hanging below each leaf of base inside refined."""
-    pieces: list[list[int]] = [[] for _ in base.depths]
-    for d, i, j in _align(base.depths, refined.depths):
-        if d != refined.depths[j]:
-            raise NotARefinement("target does not refine the base tree")
-        pieces[i].append(d - base.depths[i])
-    return [Tree(tuple(p)) for p in pieces]
 
 
 @dataclass(frozen=True)
@@ -240,9 +224,9 @@ def reduce_pair(g: TreePair) -> TreePair:
     merge while they form a caret in both."""
     if g.reduced:
         return g
-    top, bottom = g.top.depths, g.bottom.depths
+    top, bottom = g.top, g.bottom
     stack: list[tuple[int, int, int, int]] = []
-    for dt, kt, db, kb in zip(top, _indices(top), bottom, _indices(bottom)):
+    for dt, kt, db, kb in zip(top.depths, top.indices, bottom.depths, bottom.indices):
         while stack:
             pt, pkt, pb, pkb = stack[-1]
             if pt != dt or pb != db or (pkt | pkb) & 1:
@@ -250,14 +234,8 @@ def reduce_pair(g: TreePair) -> TreePair:
             stack.pop()
             dt, kt, db, kb = dt - 1, pkt >> 1, db - 1, pkb >> 1
         stack.append((dt, kt, db, kb))
-    tops, _, bottoms, _ = zip(*stack)
-    return TreePair(_trusted(tops), _trusted(bottoms), reduced=True)
-
-
-def refine_to(g: TreePair, target_bottom: Tree) -> TreePair:
-    """Re-express g over a refined bottom tree; same group element."""
-    pieces = grafts_between(g.bottom, target_bottom)
-    return TreePair(graft(g.top, pieces), target_bottom)
+    tops, kts, bottoms, kbs = zip(*stack)
+    return TreePair(_trusted(tops, kts), _trusted(bottoms, kbs), reduced=True)
 
 
 def inverse(g: TreePair) -> TreePair:
@@ -285,7 +263,7 @@ def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
     if max(top) > DEPTH_CAP or max(bottom) > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
     num, e = x.num, x.exp
-    for ka, da, kb, db in zip(_indices(top), top, _indices(bottom), bottom):
+    for ka, da, kb, db in zip(g.top.indices, top, g.bottom.indices, bottom):
         if num << da <= (ka + 1) << e:  # first top leaf whose right end is >= x
             # kb/2^db + (x - ka/2^da) * 2^(da - db)
             return Dyadic(((kb - ka) << e) + (num << da), db + e)
@@ -293,9 +271,15 @@ def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
 
 
 def is_oriented(g: TreePair) -> bool:
-    """Top and bottom of the reduced form induce the same leaf signs."""
-    r = reduce_pair(g)
-    return leaf_signs(r.top) == leaf_signs(r.bottom)
+    """Top and bottom induce the same leaf signs.
+
+    Any pair for g may be tested, reduced or not.  Adding a common caret at
+    leaf i splits a top leaf of sign s into leaves of signs s, -s and the
+    bottom leaf of sign s' into s', -s', and leaves every other sign as it
+    was; so the two sign sequences agree after the expansion exactly when
+    they agreed before, and every pair for g agrees as its reduced form
+    does."""
+    return leaf_signs(g.top) == leaf_signs(g.bottom)
 
 
 def is_oriented_via_points(g: TreePair) -> bool:
@@ -323,20 +307,3 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
             for right in by_size[size - i]
         ])
     return tuple(Tree(d) for d in by_size[n])
-
-
-def random_tree(n: int, rng) -> Tree:
-    """Uniform over split positions (not uniform Catalan; fine for fuzzing).
-
-    Splits in preorder, left subtree first, with its own stack."""
-    depths = []
-    todo = [(n, 0)]  # (leaf count, depth) of subtrees still to split
-    while todo:
-        size, d = todo.pop()
-        if size == 1:
-            depths.append(d)
-            continue
-        i = rng.randint(1, size - 1)
-        todo.append((size - i, d + 1))
-        todo.append((i, d + 1))
-    return Tree(tuple(depths))

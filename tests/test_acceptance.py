@@ -22,7 +22,6 @@ from halfgrids.linkdiag import (
     BRACKET_CAP,
     LaurentPoly,
     components,
-    framing_shift,
     front_stats,
     half_grid_crossings,
     kauffman_bracket,
@@ -46,13 +45,13 @@ from halfgrids.thompson import (
     leaf_signs,
     multiply,
     partition_from_tree,
-    random_tree,
     reduce_pair,
-    refine_to,
-    tree_union,
     node,
     LEAF,
 )
+
+from _brackets import framing_shift
+from _trees import random_tree, refine_to, tree_union
 
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
 

@@ -8,7 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from halfgrids.cli import build_parser, main
 from halfgrids.dyadic import DEPTH_CAP, Dyadic, SdInterval, parse_partition
-from halfgrids.thompson import Tree, format_tree, partition_from_tree, random_tree
+from halfgrids.thompson import Tree, format_tree, partition_from_tree
+
+from _trees import random_tree
 
 
 def run(capsys, *argv):

@@ -152,8 +152,8 @@ class TestAssemble:
     @settings(max_examples=200, deadline=None)
     @given(half_grid_pairs())
     def test_stacks_equal_validated_grids(self, pair):
-        """Stacks skip the grid checks; each equals the grid that passes
-        them, span table included."""
+        """Stacks and their unoriented() copies skip the grid checks; each
+        equals the grid that passes them, span table included."""
         top, bottom = pair
         stacks = [assemble_unoriented(top, bottom)]
         if is_compatible(top, bottom):
@@ -161,6 +161,9 @@ class TestAssemble:
         for g in stacks:
             fresh = GridDiagram(g.size, g.x_cols, g.o_cols, g.oriented)
             assert g == fresh and g._spans == fresh._spans
+            fresh_unoriented = GridDiagram(g.size, g.x_cols, g.o_cols, oriented=False)
+            for u in (g.unoriented(), fresh.unoriented()):
+                assert u == fresh_unoriented and u._spans == fresh_unoriented._spans
 
     def test_unknot(self):
         h = HalfGrid(1, (2,), (1,))

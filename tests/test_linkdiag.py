@@ -23,7 +23,6 @@ from halfgrids.linkdiag import (
     components,
     crossings,
     diagram,
-    framing_shift,
     front_stats,
     half_grid_crossings,
     kauffman_bracket,
@@ -40,6 +39,8 @@ from halfgrids.thompson import (
     parse_pair,
     partition_from_tree,
 )
+
+from _brackets import framing_shift
 
 UNKNOT = GridDiagram(2, (1, 2), (2, 1))
 EXAMPLE_4X4 = GridDiagram(4, (1, 4, 2, 3), (3, 2, 4, 1))

@@ -1,19 +1,21 @@
+import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfgrids.dyadic import Dyadic, HALF, ONE, ZERO, parse_partition
-from halfgrids.errors import NotARefinement, ParseError
+from halfgrids.errors import ParseError
 from halfgrids.thompson import (
     IDENTITY,
     LEAF,
     Tree,
     TreePair,
+    _indices,
+    _trusted,
     apply_map,
     enumerate_trees,
     format_tree,
-    grafts_between,
     inverse,
     is_oriented,
     is_oriented_via_points,
@@ -23,12 +25,11 @@ from halfgrids.thompson import (
     parse_pair,
     parse_tree,
     partition_from_tree,
-    random_tree,
     reduce_pair,
-    refine_to,
     tree_from_partition,
-    tree_union,
 )
+
+from _trees import NotARefinement, grafts_between, random_tree, refine_to, tree_union
 
 CARET = node(LEAF, LEAF)
 
@@ -194,8 +195,24 @@ class TestOriented:
         assert is_oriented(parse_pair("((..)(..))|((..)(..))"))
 
     def test_two_membership_tests_agree(self):
-        for g in all_pairs(5):
-            assert is_oriented(g) == is_oriented_via_points(g)
+        """is_oriented reads the pair as given, reduced or not."""
+        for g in all_pairs(6):
+            assert is_oriented(g) == is_oriented(reduce_pair(g)) == is_oriented_via_points(g)
+
+    def test_a_common_caret_keeps_membership(self):
+        """Splitting leaf i of both trees, the step reduction undoes, keeps
+        an oriented pair oriented and a non-oriented one non-oriented."""
+        seen = set()
+        for g in all_pairs(6):
+            oriented = is_oriented(g)
+            seen.add(oriented)
+            for i in range(g.n):
+                top, bottom = (
+                    Tree(t.depths[:i] + (t.depths[i] + 1,) * 2 + t.depths[i + 1:])
+                    for t in (g.top, g.bottom)
+                )
+                assert is_oriented(TreePair(top, bottom)) == oriented
+        assert seen == {True, False}
 
     def test_closure_under_product_and_inverse(self):
         oriented = [g for g in all_pairs(4) if is_oriented(g)]
@@ -209,6 +226,43 @@ class TestOriented:
 def comb(depth):
     """The right comb with depth + 1 leaves, built without recursion."""
     return Tree(tuple(range(1, depth + 1)) + (depth,))
+
+
+class TestIndices:
+    """A tree keeps the leaf indices of the scan that validated or built it."""
+
+    def test_every_builder_keeps_the_scans_indices(self):
+        rng = random.Random(11)
+        t = comb(5000)
+        pairs = [TreePair(t, t), TreePair(t, Tree(tuple(reversed(t.depths))))]
+        for n in (1, 2, 5, 40, 400):
+            for _ in range(4):
+                pairs.append(parse_pair(str(TreePair(random_tree(n, rng), random_tree(n, rng)))))
+        built = []
+        for g in pairs:
+            h = rng.choice(pairs)
+            built += [g, reduce_pair(g), multiply(g, h), multiply(g, inverse(g)), inverse(g)]
+        for p in built:
+            for tree in (p.top, p.bottom):
+                assert type(tree.indices) is tuple
+                assert tree.indices == _indices(tree.depths)
+
+    def test_equality_hash_and_repr_use_depths_alone(self):
+        for d in [(0,), (1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2, 2)]:
+            validated, trusted = Tree(d), _trusted(d)
+            assert validated == trusted and hash(validated) == hash(trusted)
+            assert "indices" not in vars(trusted)  # not read yet
+            assert trusted.indices == validated.indices
+            assert validated == trusted and hash(validated) == hash(trusted)
+            assert repr(validated) == repr(trusted) == f"Tree(depths={d!r})"
+
+    def test_indices_cannot_be_changed(self):
+        t = parse_tree("((..).)")
+        with pytest.raises(TypeError):
+            t.indices[0] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            t.indices = (0, 1, 1)
+        assert t.indices == (0, 1, 1)
 
 
 class TestDepth:
