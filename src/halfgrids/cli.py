@@ -11,7 +11,7 @@ import sys
 from functools import lru_cache
 
 from . import linkdiag, linkgroup, verify
-from .dyadic import parse_partition
+from .dyadic import partition_leaves
 from .errors import HalfGridError, Incompatible, ParseError
 from .halfgrid import (
     GridDiagram,
@@ -28,7 +28,7 @@ from .halfgrid import (
     perm_encode,
     rotate90,
 )
-from .thompson import parse_pair, tree_from_partition
+from .thompson import _trusted, parse_pair
 
 
 class _NoGridFile(argparse.Action):
@@ -64,7 +64,7 @@ def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
         pair = parse_pair(args.trees)
         return half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
     if args.partitions is not None:
-        plus, minus = (tree_from_partition(parse_partition(text)) for text in args.partitions)
+        plus, minus = (_trusted(*partition_leaves(text)) for text in args.partitions)
         return half_grid_from_tree(plus), half_grid_from_tree(minus)
     sp, sm = (parse_permutation(text) for text in args.perms)
     return perm_decode(sp), perm_decode(sm)

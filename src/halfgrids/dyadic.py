@@ -171,16 +171,50 @@ class SdPartition:
         return ",".join(str(b) for b in self.breakpoints)
 
 
-def parse_partition(text: str) -> SdPartition:
-    tokens = text.split(",")
-    points = [parse_dyadic(tok, pos=f"position {i}") for i, tok in enumerate(tokens)]
+def partition_leaves(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Depth d and index k of each subinterval [k/2^d, (k+1)/2^d] of the
+    partition written as comma-separated breakpoints, in one integer scan.
+
+    Checks run in the order of the object route, `parse_dyadic` on every
+    token and then `SdPartition`, and fail with its exceptions and messages:
+    token errors, then the first breakpoint not above its predecessor, then
+    the ends, then the first subinterval that is not standard dyadic.  Each
+    breakpoint is held as an integer over 2^DEPTH_CAP; a Dyadic is built
+    only on an error path, to raise DepthExceeded or to name an interval."""
+    points = []
+    for i, tok in enumerate(text.split(",")):
+        top, slash, bottom = tok.partition("/")
+        try:
+            num = int(top)
+            den = int(bottom) if slash else 1
+        except ValueError:
+            raise ParseError(f"malformed dyadic {tok.strip()!r} at position {i}") from None
+        if den <= 0 or den & (den - 1):
+            raise ParseError(f"denominator {den} is not a power of two at position {i}")
+        exp = den.bit_length() - 1
+        if exp > DEPTH_CAP and num << DEPTH_CAP & ((1 << exp) - 1):
+            Dyadic(num, exp)  # above DEPTH_CAP in lowest terms too: raises DepthExceeded
+        points.append(num << DEPTH_CAP >> exp)
     for i, (a, b) in enumerate(zip(points, points[1:])):
         if not a < b:
             raise ParseError(f"breakpoints not increasing at position {i + 1}")
-    try:
-        return SdPartition(tuple(points))
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    if len(points) < 2 or points[0] != 0 or points[-1] != 1 << DEPTH_CAP:
+        raise ParseError("partition must run from 0 to 1")
+    depths, indices = [], []
+    for a, b in zip(points, points[1:]):
+        gap = b - a  # standard dyadic when gap is a power of two 2^s dividing a
+        if (a | gap) & (gap - 1):
+            lo, hi = Dyadic(a, DEPTH_CAP), Dyadic(b, DEPTH_CAP)
+            raise ParseError(f"[{lo}, {hi}] is not a standard dyadic interval")
+        s = gap.bit_length() - 1
+        depths.append(DEPTH_CAP - s)
+        indices.append(a >> s)
+    return tuple(depths), tuple(indices)
+
+
+def parse_partition(text: str) -> SdPartition:
+    depths, indices = partition_leaves(text)
+    return SdPartition((*map(Dyadic, indices, depths), ONE))
 
 
 def midpoint(iv: SdInterval) -> Dyadic:

@@ -17,6 +17,7 @@ import math
 from bisect import bisect_left, insort
 from collections.abc import Iterable
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegreeMismatch
 from .halfgrid import GridDiagram, Permutation
@@ -246,27 +247,37 @@ def signed_graph_abelianization(
 
 
 def format_presentation(p: GroupPresentation) -> str:
-    names = _letter_names(p.generator_count, "x")
     lines = [f"gens={p.generator_count}"]
-    lines.extend("rel: " + " ".join(map(names.__getitem__, word)) for word in p.relators)
+    lines.extend("rel: " + word for word in _spelled(p, "x", " "))
     return "\n".join(lines)
 
 
 def format_presentation_gap(p: GroupPresentation) -> str:
     """Generic finitely-presented-group text form."""
-    names = _letter_names(p.generator_count, "F.")
-    rels = ["*".join(map(names.__getitem__, word)) or "One(F)" for word in p.relators]
+    rels = [word or "One(F)" for word in _spelled(p, "F.", "*")]
     return (
         f"F := FreeGroup({p.generator_count});;\n"
         f"G := F / [ {', '.join(rels)} ];\n"
     )
 
 
-def _letter_names(count: int, prefix: str) -> list[str]:
-    """Names indexed by signed letter: names[x] is the generator x for
-    x = 1..count, and names[-x], counted from the end, is its inverse."""
-    return [
+def _spelled(p: GroupPresentation, prefix: str, sep: str) -> list[str]:
+    """Each relator as the names of its letters joined by sep.
+
+    names[x] is the generator x for x = 1..count, and names[-x], counted
+    from the end, is its inverse.  One itemgetter call looks up a whole
+    word; it returns a bare name, not a tuple, for one letter and needs at
+    least one, so shorter words are spelled apart."""
+    count = p.generator_count
+    names = [
         "",
         *(f"{prefix}{x}" for x in range(1, count + 1)),
         *(f"{prefix}{x}^-1" for x in range(count, 0, -1)),
     ]
+    out = []
+    for word in p.relators:
+        if len(word) > 1:
+            out.append(sep.join(itemgetter(*word)(names)))
+        else:
+            out.append(names[word[0]] if word else "")
+    return out

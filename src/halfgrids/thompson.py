@@ -71,8 +71,9 @@ class Tree:
 
 
 def _trusted(depths: tuple[int, ...], indices: tuple[int, ...] | None = None) -> Tree:
-    """A Tree from depths the tree algebra built out of valid trees; skips
-    the `_indices` re-check that parsed and user-built trees go through.
+    """A Tree from depths the tree algebra built out of valid trees, or
+    read by `dyadic.partition_leaves` from a checked partition; skips the
+    `_indices` re-check that parsed and user-built trees go through.
     Indices the builder knows are kept; otherwise they are found on first
     read."""
     t = object.__new__(Tree)

@@ -130,6 +130,16 @@ class TestGroup:
         assert code == 0
         assert "gens=2" in out and "rel: x1 x2" in out
 
+    def test_block_diagonal_grid_has_an_empty_relator(self, capsys, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("n=4; X=1,2,3,4; O=2,1,4,3; oriented=true\n")
+        code, out, _ = run(capsys, "group", "--grid", str(path))
+        assert (code, out) == (0, (
+            "gens=4\nrel: x1 x2\nrel: \nrel: x3 x4\nabelianization: free rank 2, torsion none\n"
+        ))
+        code, out, _ = run(capsys, "group", "--gap", "--grid", str(path))
+        assert (code, out) == (0, "F := FreeGroup(4);;\nG := F / [ F.1*F.2, One(F), F.3*F.4 ];\n")
+
 
 class TestEncode:
     def test_roundtrip_display(self, capsys):
@@ -243,8 +253,8 @@ class TestDeepTrees:
 
 class TestHalfGridRoute:
     def test_no_dyadic_objects_beyond_parsing(self, capsys, monkeypatch):
-        """--trees makes no Dyadic or SdInterval; --partitions makes only
-        those that parsing its text makes."""
+        """Neither --trees nor --partitions makes a Dyadic or an SdInterval
+        on valid input; unnormalised and deep breakpoints included."""
         made = Counter()
         for cls in (Dyadic, SdInterval):
             def counted(self, init=cls.__post_init__, name=cls.__name__):
@@ -253,13 +263,46 @@ class TestHalfGridRoute:
             monkeypatch.setattr(cls, "__post_init__", counted)
         code, _, _ = run(capsys, "encode", "--trees", "((..)(.(..)))|(.((..)(..)))")
         assert code == 0 and not made
-        points = ["0,1/4,1/2,5/8,3/4,1", "0,1/2,5/8,3/4,7/8,1"]
-        for text in points:
-            parse_partition(text)
-        parsed = made.copy()
-        made.clear()
+        # a left comb down to 1/2^DEPTH_CAP, written 2/2^(DEPTH_CAP+1)
+        comb = ",".join(f"1/{1 << d}" for d in range(DEPTH_CAP - 1, 0, -1))
+        deep = f"0/8,2/{1 << (DEPTH_CAP + 1)},{comb},5/8,3/4,7/8,2/2"
+        points = ["0,1/4,2/4,5/8,3/4,1", deep]
         code, _, _ = run(capsys, "encode", "--partitions", *points)
-        assert code == 0 and made == parsed
+        assert code == 0 and not made
+        parse_partition(points[0])  # the object route, kept as an oracle, is counted
+        assert made
+
+
+PARTITION_REFUSALS = [
+    ("0,1/2,1,", 2, "malformed dyadic '' at position 3"),
+    ("0,1/-2,1", 2, "denominator -2 is not a power of two at position 1"),
+    ("0,1/1,1", 2, "breakpoints not increasing at position 2"),
+    ("1/2,1", 2, "partition must run from 0 to 1"),
+    ("0,3/4,1", 2, "[0, 3/4] is not a standard dyadic interval"),
+    ("0,1/4,3/4,1", 2, "[1/4, 3/4] is not a standard dyadic interval"),
+    ("0,1/9223372036854775808,1/2,1", 1, f"exponent 63 exceeds DEPTH_CAP={DEPTH_CAP}"),
+    # token errors come before order errors, order errors before the 0-to-1 check
+    ("0,1/2,1/4,x,1", 2, "malformed dyadic 'x' at position 3"),
+    ("0,1/2,1/4,1/2", 2, "breakpoints not increasing at position 2"),
+]
+
+
+class TestPartitionText:
+    @pytest.mark.parametrize("text,code,message", PARTITION_REFUSALS)
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_refusal_keeps_its_exit_code_and_error_line(self, capsys, text, code, message, side):
+        pair = [text, "0,1/2,1"] if side == 0 else ["0,1/2,1", text]
+        assert run(capsys, "encode", "--partitions", *pair) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "text,normal",
+        [("0/8,1/2,1", "0,1/2,1"), ("0,2/4,1", "0,1/2,1"), ("0,1/2,2/2", "0,1/2,1"),
+         ("0, 1/2 ,1", "0,1/2,1"), ("0/8,2/8,2/4,6/8,2/2", "0,1/4,1/2,3/4,1")],
+    )
+    def test_unnormalised_and_padded_breakpoints_are_accepted(self, capsys, text, normal):
+        code, out, err = run(capsys, "encode", "--partitions", text, normal)
+        assert (code, err) == (0, "")
+        assert (code, out, err) == run(capsys, "encode", "--partitions", normal, normal)
 
 
 SOURCES = {

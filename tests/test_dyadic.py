@@ -1,5 +1,7 @@
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from halfgrids.dyadic import (
     DEPTH_CAP,
@@ -15,11 +17,15 @@ from halfgrids.dyadic import (
     midpoint_inverse,
     parse_dyadic,
     parse_partition,
+    partition_leaves,
     sign,
     spanning_intervals,
     spanning_intervals_by_pairs,
 )
 from halfgrids.errors import DepthExceeded, NoConjugate, NotInE, ParseError
+from halfgrids.thompson import Tree, tree_from_partition
+
+from _trees import random_tree
 
 dyadics = st.builds(
     Dyadic,
@@ -203,3 +209,81 @@ class TestSdPartition:
                 right = SdInterval(2 * iv.k + 1, iv.m + 1)
                 assert sign(midpoint_inverse(b)) == sign(midpoint_inverse(midpoint(left)))
                 assert sign(midpoint_inverse(b)) != sign(midpoint_inverse(midpoint(right)))
+
+
+def _object_route(text):
+    """Partition text read through Dyadic and SdPartition objects, as it
+    was before the integer scan: the scan's oracle."""
+    points = [parse_dyadic(tok, pos=f"position {i}") for i, tok in enumerate(text.split(","))]
+    for i, (a, b) in enumerate(zip(points, points[1:])):
+        if not a < b:
+            raise ParseError(f"breakpoints not increasing at position {i + 1}")
+    try:
+        t = tree_from_partition(SdPartition(tuple(points)))
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
+    return t.depths, t.indices
+
+
+def _outcome(read, text):
+    try:
+        return read(text)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _point_text(k: int, m: int, j: int = 0) -> str:
+    """k/2^m in lowest terms, then numerator and denominator times 2^j."""
+    while m and not k & 1:
+        k, m = k >> 1, m - 1
+    return f"{k << j}/{1 << (m + j)}" if m + j else str(k)
+
+
+@st.composite
+def breakpoint_texts(draw):
+    """The breakpoints of a random tree, some perturbed: unnormalised,
+    swapped, one dropped, one token replaced, padded; some trees reach
+    exponents DEPTH_CAP - 1 to DEPTH_CAP + 2."""
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    depths = list(random_tree(draw(st.integers(1, 12)), rng).depths)
+    if draw(st.booleans()):  # a left comb from one leaf down to a depth near the cap
+        i, deepest = rng.randrange(len(depths)), draw(st.integers(DEPTH_CAP - 1, DEPTH_CAP + 2))
+        depths[i:i + 1] = [deepest, *range(deepest, depths[i], -1)]
+    t = Tree(tuple(depths))
+    points = [*zip(t.indices, t.depths), (1, 0)]
+    scale = draw(st.booleans())
+    tokens = [_point_text(k, m, rng.choice((0, 0, 1, 2, 3)) if scale else 0) for k, m in points]
+    if draw(st.booleans()):
+        i = rng.randrange(len(tokens) - 1)
+        tokens[i], tokens[i + 1] = tokens[i + 1], tokens[i]
+    if draw(st.booleans()):  # an end, or a breakpoint anywhere: two leaves merge
+        tokens.pop(rng.choice((0, -1, rng.randrange(len(tokens)))))
+    if draw(st.booleans()):
+        odd = ["", "x", "1/3", "1/0", "1/-4", "-1/2", "3/2", "1/2/2", "+1/2", "1/ 2", f"1/{1 << 63}"]
+        tokens[rng.randrange(len(tokens))] = rng.choice(odd)
+    if draw(st.booleans()):
+        tokens = [" " * rng.randint(0, 2) + tok + " " * rng.randint(0, 2) for tok in tokens]
+    return ",".join(tokens)
+
+
+class TestPartitionLeaves:
+    """The integer scan against the object route it replaced: the same
+    leaves, or the same exception class with the same message."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(breakpoint_texts())
+    def test_agrees_with_object_route(self, text):
+        got = _outcome(partition_leaves, text)
+        assert got == _outcome(_object_route, text)
+        if not isinstance(got[0], type):  # parse_partition's breakpoints are the parsed ones
+            assert parse_partition(text) == SdPartition(tuple(map(parse_dyadic, text.split(","))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="0123456789/,- x", max_size=24))
+    def test_agrees_with_object_route_on_any_text(self, text):
+        assert _outcome(partition_leaves, text) == _outcome(_object_route, text)
+
+    def test_leaves(self):
+        assert partition_leaves("0,1/4,1/2,1") == ((2, 2, 1), (0, 1, 1))
+        assert partition_leaves(" 0/8 , 2/8,2/4 , 2/2") == ((2, 2, 1), (0, 1, 1))
+        assert partition_leaves("0,1") == ((0,), (0,))
