@@ -12,11 +12,21 @@ value is computed.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from .errors import DepthExceeded, NoConjugate, NotInE, ParseError
 
 DEPTH_CAP = 62
+
+# An integer in input text is an optional "-" and ASCII digits, whitespace
+# around its token.  One C-level match checks a text before int(), which also
+# takes "_", "+" and non-ASCII digits; a token int() refuses as too long is
+# malformed too.
+INT = r"-?[0-9]+"
+_DYADIC = rf"\s*{INT}(?:/{INT})?\s*"
+_DYADIC_TOKEN = re.compile(_DYADIC)
+_DYADIC_LIST = re.compile(rf"{_DYADIC}(?:,{_DYADIC})*")
 
 
 def _check_depth(exp: int) -> None:
@@ -88,20 +98,16 @@ HALF = Dyadic(1, 1)
 def parse_dyadic(text: str, pos: str = "") -> Dyadic:
     """Parse "0", "1" or "k/2^m" with the denominator written in decimal."""
     where = f" at {pos}" if pos else ""
-    text = text.strip()
-    if "/" in text:
-        top, _, bottom = text.partition("/")
-        try:
-            num, den = int(top), int(bottom)
-        except ValueError:
-            raise ParseError(f"malformed dyadic {text!r}{where}") from None
-        if den <= 0 or den & (den - 1):
-            raise ParseError(f"denominator {den} is not a power of two{where}")
-        return Dyadic(num, den.bit_length() - 1)
     try:
-        return Dyadic(int(text))
+        if not _DYADIC_TOKEN.fullmatch(text):
+            raise ValueError(text)
+        top, slash, bottom = text.partition("/")
+        num, den = int(top), int(bottom) if slash else 1
     except ValueError:
-        raise ParseError(f"malformed dyadic {text!r}{where}") from None
+        raise ParseError(f"malformed dyadic {text.strip()!r}{where}") from None
+    if den <= 0 or den & (den - 1):
+        raise ParseError(f"denominator {den} is not a power of two{where}")
+    return Dyadic(num, den.bit_length() - 1)
 
 
 @dataclass(frozen=True)
@@ -182,11 +188,13 @@ def partition_leaves(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     breakpoint is held as an integer over 2^DEPTH_CAP; a Dyadic is built
     only on an error path, to raise DepthExceeded or to name an interval."""
     points = []
+    well_formed = _DYADIC_LIST.fullmatch(text)  # else find the first bad token
     for i, tok in enumerate(text.split(",")):
-        top, slash, bottom = tok.partition("/")
         try:
-            num = int(top)
-            den = int(bottom) if slash else 1
+            if not (well_formed or _DYADIC_TOKEN.fullmatch(tok)):
+                raise ValueError(tok)
+            top, slash, bottom = tok.partition("/")
+            num, den = int(top), int(bottom) if slash else 1
         except ValueError:
             raise ParseError(f"malformed dyadic {tok.strip()!r} at position {i}") from None
         if den <= 0 or den & (den - 1):

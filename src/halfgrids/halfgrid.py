@@ -8,11 +8,15 @@ grids reuse the coordinates with every mark read as the same symbol.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
-from .dyadic import DEPTH_CAP, SdPartition, conjugate, sign, spanning_intervals
+from .dyadic import DEPTH_CAP, INT, SdPartition, conjugate, sign, spanning_intervals
 from .errors import DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch
 from .thompson import Tree
+
+_PERMUTATION = re.compile(rf"\s*(?:{INT}\s+)*(?:{INT})?")
+_COLUMNS = re.compile(rf"\s*{INT}\s*(?:,\s*{INT}\s*)*")
 
 
 @dataclass(frozen=True)
@@ -151,10 +155,11 @@ class Permutation:
 
 def parse_permutation(text: str) -> Permutation:
     try:
-        images = tuple(int(tok) for tok in text.split())
-    except ValueError:
+        if not _PERMUTATION.fullmatch(text):
+            raise ValueError(text)
+        return Permutation(tuple(map(int, text.split())))
+    except ValueError:  # refused by the token rule, or more digits than int() reads
         raise ParseError(f"malformed permutation {text!r}") from None
-    return Permutation(images)
 
 
 def half_grid_from_tree(t: Tree) -> HalfGrid:
@@ -317,8 +322,10 @@ def _parse_fields(text: str, names: list[str]) -> dict[str, str]:
 
 def _parse_cols(value: str) -> tuple[int, ...]:
     try:
-        return tuple(int(tok) for tok in value.split(","))
-    except ValueError:
+        if not _COLUMNS.fullmatch(value):
+            raise ValueError(value)
+        return tuple(map(int, value.split(",")))
+    except ValueError:  # refused by the token rule, or more digits than int() reads
         raise ParseError(f"malformed column list {value!r}") from None
 
 

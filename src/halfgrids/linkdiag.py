@@ -315,10 +315,6 @@ class LaurentPoly:
     def __init__(self, coeffs: dict[int, int] | None = None):
         self.coeffs = {e: c for e, c in (coeffs or {}).items() if c}
 
-    @classmethod
-    def monomial(cls, coef: int, exp: int) -> "LaurentPoly":
-        return cls({exp: coef})
-
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
         out = dict(self.coeffs)
         for e, c in other.coeffs.items():
@@ -331,14 +327,6 @@ class LaurentPoly:
             for e2, c2 in other.coeffs.items():
                 out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
         return LaurentPoly(out)
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError(f"negative power {k}: a Laurent polynomial has no inverse in general")
-        out = LaurentPoly.monomial(1, 0)
-        for _ in range(k):
-            out = out * self
-        return out
 
     def mirror(self) -> "LaurentPoly":
         """Substitute A -> A^-1."""
@@ -376,6 +364,8 @@ _B_PAIRS = (("N", "E"), ("S", "W"))
 
 _A_ENDS = tuple((_END[p], _END[q]) for p, q in _A_PAIRS)
 _B_ENDS = tuple((_END[p], _END[q]) for p, q in _B_PAIRS)
+
+_LOOP_POWERS = tuple(tuple(p.coeffs.items()) for p in (LaurentPoly({0: 1}), LOOP, LOOP * LOOP))
 
 
 def _splice(mate, arcs, ends) -> int:
@@ -440,25 +430,23 @@ def _sweep_order(d: PlanarDiagram) -> tuple[range | list[int], int]:
 
 
 def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
-    """Bracket of the unoriented reading, loop weight -A^2 - A^-2,
+    """Bracket of the unoriented reading, loop weight d = -A^2 - A^-2,
     normalized so a crossingless unknot diagram gives 1.
 
     Kauffman's state sum, contracted one crossing at a time in the order
     `_sweep_order` picks: row by row or column by column, whichever cut
-    meets fewer arcs at its widest.  A state is a `_splice` mate table: the
-    pairing of open path ends that the smoothings made so far leave.  After
-    each smoothing the arcs this crossing finished (both ends smoothed) are
-    reset to mate[x] = x, so smoothings that give the same pairing give the
-    same table and are merged, keeping their state counts per
-    (A-smoothings, closed loops).  One byte per arc names any mate, as a
-    bracket diagram has 2c <= 48 arcs.  The cost is exponential in that
-    frontier width, not in the crossing count."""
+    meets fewer arcs at its widest.  A state is a `_splice` mate table (one
+    byte per arc, as 2c <= 48): the pairing of open path ends that the
+    smoothings so far leave, mapped to its Laurent polynomial.  A smoothing
+    multiplies it by A or A^-1 and by d per loop it closes; the arcs the
+    crossing finished are reset to mate[x] = x, so equal pairings merge.
+    Each free loop multiplies the sum by d, and one exact division by d
+    normalizes it.  The cost is exponential in the frontier width, not in c."""
     c = len(_crossing_positions(g))
     if c > BRACKET_CAP:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
     d = diagram(g)
     pd, arc_count, free_loops = d.arcs
-    stride = arc_count + 1  # histogram key: A-smoothings * stride + closed loops
     met = [0] * arc_count  # ends of each arc at smoothed crossings
     states: dict[bytes, dict[int, int]] = {bytes(range(arc_count)): {0: 1}}
     for k in _sweep_order(d)[0]:
@@ -467,28 +455,24 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
             met[x] += 1
         done = {x for x in arcs if met[x] == 2}
         merged: dict[bytes, dict[int, int]] = {}
-        for mate, counts in states.items():
-            for a, ends in ((1, _A_ENDS), (0, _B_ENDS)):
+        for mate, poly in states.items():
+            for shift, ends in ((1, _A_ENDS), (-1, _B_ENDS)):
                 m = bytearray(mate)
-                shift = a * stride + _splice(m, arcs, ends)
+                terms = _LOOP_POWERS[_splice(m, arcs, ends)]
                 for x in done:
                     m[x] = x
                 out = merged.setdefault(bytes(m), {})
-                for key, count in counts.items():
-                    out[key + shift] = out.get(key + shift, 0) + count
+                for de, dc in terms:
+                    for e, coef in poly.items():
+                        out[e + de + shift] = out.get(e + de + shift, 0) + coef * dc
         states = merged
-    (counts,) = states.values()
-    low, high = min(k % stride for k in counts), max(k % stride for k in counts)
-    loop_power = [LOOP ** (low + free_loops - 1)]  # LOOP ** (loops - 1) from low up
-    for _ in range(low, high):
-        loop_power.append(loop_power[-1] * LOOP)
-    total: dict[int, int] = {}
-    for key, count in counts.items():
-        a_count, loops = divmod(key, stride)
-        shift = 2 * a_count - c
-        for e, coef in loop_power[loops - low].coeffs.items():
-            total[e + shift] = total.get(e + shift, 0) + count * coef
-    return LaurentPoly(total)
+    total = LaurentPoly(*states.values())  # one state is left: every arc is finished
+    for _ in range(free_loops):
+        total = total * LOOP
+    p, q = total.coeffs, {}  # total = d * q: p[e] = -q[e - 2] - q[e + 2], top down
+    for e in range(max(p), min(p) + 2, -2):
+        q[e - 2] = -p.get(e, 0) - q.get(e + 2, 0)
+    return LaurentPoly(q)
 
 
 # --- rendering ---------------------------------------------------------------

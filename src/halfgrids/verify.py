@@ -314,7 +314,7 @@ def _check_bracket_mirror(checks, by_n, halves) -> None:
                 return
             a, b = halves[t1], halves[t2]
             g = assemble_unoriented(a, b)
-            if len(linkdiag._crossing_positions(g)) > linkdiag.BRACKET_CAP:
+            if len(linkdiag.diagram(g).positions) > linkdiag.BRACKET_CAP:
                 continue
             forward = linkdiag.kauffman_bracket(g)
             backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))

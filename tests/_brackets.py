@@ -1,10 +1,19 @@
-"""Comparing Kauffman brackets up to framing, for the tests."""
+"""Kauffman bracket helpers for the tests: powers of a Laurent polynomial
+and comparison up to framing."""
 
 from __future__ import annotations
 
 from halfgrids.linkdiag import LaurentPoly
 
-NEG_A_CUBED = LaurentPoly.monomial(-1, 3)
+
+def power(p: LaurentPoly, k: int) -> LaurentPoly:
+    """p^k for k >= 0, by repeated multiplication."""
+    if k < 0:
+        raise ValueError(f"negative power {k}: a Laurent polynomial has no inverse in general")
+    out = LaurentPoly({0: 1})
+    for _ in range(k):
+        out = out * p
+    return out
 
 
 def framing_shift(p: LaurentPoly, q: LaurentPoly) -> int | None:
@@ -15,5 +24,5 @@ def framing_shift(p: LaurentPoly, q: LaurentPoly) -> int | None:
     if diff % 3:
         return None
     k = diff // 3
-    shifted = q * (NEG_A_CUBED ** k if k >= 0 else NEG_A_CUBED.mirror() ** (-k))
+    shifted = q * LaurentPoly({3 * k: -1 if k % 2 else 1})  # (-A^3)^k
     return k if shifted == p else None

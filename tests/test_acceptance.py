@@ -28,7 +28,7 @@ from halfgrids.linkdiag import (
     seifert_stats,
     writhe,
     crossings,
-    _crossing_positions,
+    diagram,
 )
 from halfgrids.linkgroup import (
     abelianization,
@@ -298,7 +298,7 @@ def test_criterion_10_mirror_bracket(report):
         a = perm_decode(Permutation(tuple(pa)))
         b = perm_decode(Permutation(tuple(pb)))
         g = assemble_unoriented(a, b)
-        if len(_crossing_positions(g)) > BRACKET_CAP:
+        if len(diagram(g).positions) > BRACKET_CAP:
             continue
         fwd = kauffman_bracket(g)
         bwd = kauffman_bracket(assemble_unoriented(b, a))

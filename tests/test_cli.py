@@ -273,6 +273,8 @@ class TestHalfGridRoute:
         assert made
 
 
+LONG = "1" * 5000  # more digits than int() reads from text by default
+
 PARTITION_REFUSALS = [
     ("0,1/2,1,", 2, "malformed dyadic '' at position 3"),
     ("0,1/-2,1", 2, "denominator -2 is not a power of two at position 1"),
@@ -284,6 +286,13 @@ PARTITION_REFUSALS = [
     # token errors come before order errors, order errors before the 0-to-1 check
     ("0,1/2,1/4,x,1", 2, "malformed dyadic 'x' at position 3"),
     ("0,1/2,1/4,1/2", 2, "breakpoints not increasing at position 2"),
+    # an integer is an optional "-" and ASCII digits; whitespace only around a token
+    ("0,1_0/2,1", 2, "malformed dyadic '1_0/2' at position 1"),
+    ("0,+1/2,1", 2, "malformed dyadic '+1/2' at position 1"),
+    ("0,1/ 2,1", 2, "malformed dyadic '1/ 2' at position 1"),
+    ("0,1 /2,1", 2, "malformed dyadic '1 /2' at position 1"),
+    ("0,\u0661/2,1", 2, "malformed dyadic '\u0661/2' at position 1"),
+    pytest.param(f"0,1/{LONG},1", 2, f"malformed dyadic '1/{LONG}' at position 1", id="long"),
 ]
 
 
@@ -303,6 +312,37 @@ class TestPartitionText:
         code, out, err = run(capsys, "encode", "--partitions", text, normal)
         assert (code, err) == (0, "")
         assert (code, out, err) == run(capsys, "encode", "--partitions", normal, normal)
+
+
+TEN = "1 2 3 4 5 6 7 8 9 10"
+
+
+class TestIntegerTokens:
+    """Permutations and grid files take the integers that partitions take."""
+
+    @pytest.mark.parametrize("text", ["1_0 2 3 4 5 6 7 8 9 10", "+1 2 3 4 5 6 7 8 9 10",
+                                      "\u0661 2 3 4 5 6 7 8 9 10", "1 2 3 4 5 6 7 8 9 1-0",
+                                      pytest.param(f"1 {LONG}", id="long")])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_permutation_refusal(self, capsys, text, side):
+        pair = [text, TEN] if side == 0 else [TEN, text]
+        assert run(capsys, "encode", "--perms", *pair) == (2, "", f"error: malformed permutation {text!r}\n")
+
+    @pytest.mark.parametrize("cols", ["2,1_0", "+2,1", "\u0662,1", "2 ,,1", "2 1",
+                                      pytest.param(f"2,{LONG}", id="long")])
+    def test_grid_column_refusal(self, capsys, tmp_path, cols):
+        path = tmp_path / "g.grid"
+        path.write_text(f"n=2; X={cols}; O=1,2; oriented=true\n", encoding="utf-8")
+        assert run(capsys, "build", "--grid", str(path)) == (
+            2, "", f"error: malformed column list {cols!r}\n")
+
+    def test_whitespace_around_integers_is_accepted(self, capsys, tmp_path):
+        assert run(capsys, "encode", "--perms", " 2\t1 ", "2 1 ") == run(
+            capsys, "encode", "--perms", "2 1", "2 1")
+        path = tmp_path / "g.grid"
+        path.write_text("n=4; X= 1, 4 ,2,3 ; O=3,2,4,1; oriented=true\n", encoding="utf-8")
+        code, out, err = run(capsys, "build", "--grid", str(path))
+        assert (code, out, err) == (0, "n=4; X=1,4,2,3; O=3,2,4,1; oriented=true\n", "")
 
 
 SOURCES = {

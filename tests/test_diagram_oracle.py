@@ -49,6 +49,8 @@ from halfgrids.linkdiag import (
 )
 from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, parse_pair
 
+from _brackets import power
+
 EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
 
@@ -237,7 +239,7 @@ def oracle_bracket(g):
                 parent[ra] = rb
                 loops -= 1
         a_count = bin(state).count("1")
-        total = total + LaurentPoly.monomial(1, 2 * a_count - c) * LOOP ** (loops - 1)
+        total = total + LaurentPoly({2 * a_count - c: 1}) * power(LOOP, loops - 1)
     return total
 
 
@@ -272,7 +274,7 @@ def oracle_state_sum_bracket(g):
         states[sum(smoothing), oracle_loops(d, smoothing)] += 1
     total = LaurentPoly()
     for (a_count, loops), count in states.items():
-        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops - 1)
+        total = total + LaurentPoly({2 * a_count - c: count}) * power(LOOP, loops - 1)
     return total
 
 
@@ -304,7 +306,7 @@ def oracle_row_sweep_bracket(g):
     total = LaurentPoly()
     for key, count in counts.items():
         a_count, loops = divmod(key, stride)
-        total = total + LaurentPoly.monomial(count, 2 * a_count - c) * LOOP ** (loops + free_loops - 1)
+        total = total + LaurentPoly({2 * a_count - c: count}) * power(LOOP, loops + free_loops - 1)
     return total
 
 
@@ -526,6 +528,18 @@ def test_bracket_matches_row_sweep(g):
     (tree stacks with 12 leaves), where the row sweep is still quick."""
     assume(len(_crossing_positions(g)) <= 22)
     assert kauffman_bracket(g) == oracle_row_sweep_bracket(g)
+
+
+def test_bracket_matches_state_sum_on_every_small_tree_stack():
+    """All 227 tree pairs with at most 5 leaves (c <= 8), stacked unoriented."""
+    pairs = 0
+    for n in range(1, 6):
+        halves = [half_grid_from_tree(t) for t in enumerate_trees(n)]
+        for a, b in itertools.product(halves, repeat=2):
+            g = assemble_unoriented(a, b)
+            assert kauffman_bracket(g) == oracle_state_sum_bracket(g)
+            pairs += 1
+    assert pairs == 227
 
 
 @settings(max_examples=100, deadline=None)

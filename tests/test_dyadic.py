@@ -72,6 +72,10 @@ class TestDyadic:
             parse_dyadic("1/3")
         with pytest.raises(ParseError):
             parse_dyadic("x/4")
+        with pytest.raises(ParseError, match="malformed"):
+            parse_dyadic("1" * 5000)  # more digits than int() reads
+        with pytest.raises(ParseError, match="malformed dyadic '1/1111"):
+            partition_leaves("0,1/" + "1" * 5000 + ",1")
         with pytest.raises(ParseError, match="position 2"):
             parse_dyadic("1/3", pos="position 2")
 
@@ -279,7 +283,7 @@ class TestPartitionLeaves:
             assert parse_partition(text) == SdPartition(tuple(map(parse_dyadic, text.split(","))))
 
     @settings(max_examples=300, deadline=None)
-    @given(st.text(alphabet="0123456789/,- x", max_size=24))
+    @given(st.text(alphabet="0123456789/,- x_+\u0661", max_size=24))
     def test_agrees_with_object_route_on_any_text(self, text):
         assert _outcome(partition_leaves, text) == _outcome(_object_route, text)
 

@@ -237,8 +237,9 @@ class TestCodec:
             perm_decode(Permutation((2, 3, 1)))  # odd degree
         with pytest.raises(NotAPermutation):
             perm_decode(Permutation(()))  # no rows
-        with pytest.raises(ParseError):
-            parse_permutation("1 two 3")
+        for bad in ["1 two 3", "1_0 2", "+1 2", "\u0661 2", "1 2-", "1 " + "2" * 5000]:
+            with pytest.raises(ParseError):
+                parse_permutation(bad)
 
     def test_inverse(self):
         sigma = Permutation((3, 1, 4, 2))
@@ -264,6 +265,10 @@ class TestTextFormats:
             "n=2; X=2,1; O=1,2; oriented=maybe",
             "n=x; X=2,1; O=1,2; oriented=true",
             "n=2; X=2,a; O=1,2; oriented=true",
+            "n=2; X=2,1_0; O=1,2; oriented=true",
+            "n=2; X=+2,1; O=1,2; oriented=true",
+            "n=2; X=2,1; O=\u0661,2; oriented=true",
+            "n=2; X=2,1; O=1," + "2" * 5000 + "; oriented=true",
             "garbage",
         ]:
             with pytest.raises(ParseError):

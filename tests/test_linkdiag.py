@@ -40,7 +40,7 @@ from halfgrids.thompson import (
     partition_from_tree,
 )
 
-from _brackets import framing_shift
+from _brackets import framing_shift, power
 
 UNKNOT = GridDiagram(2, (1, 2), (2, 1))
 EXAMPLE_4X4 = GridDiagram(4, (1, 4, 2, 3), (3, 2, 4, 1))
@@ -50,6 +50,17 @@ TREFOIL_5X5 = GridDiagram(5, (1, 2, 1, 2, 3), (4, 5, 3, 4, 5), oriented=False)
 TREFOIL_5X5_ORIENTED = GridDiagram(5, (1, 2, 3, 4, 5), (4, 5, 1, 2, 3))
 # right-handed trefoil bracket, from its 3-crossing writhe-3 diagram
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
+
+
+def block_sum(*grids):
+    """The grids placed corner to corner along the diagonal: their split
+    union, unoriented."""
+    x, o = [], []
+    for g in grids:
+        size = len(x)
+        x += [size + c for c in g.x_cols]
+        o += [size + c for c in g.o_cols]
+    return GridDiagram(len(x), tuple(x), tuple(o), oriented=False)
 
 
 def compatible_pairs(max_leaves):
@@ -178,10 +189,11 @@ class TestLaurentPoly:
         assert str(LaurentPoly()) == "0"
 
     def test_pow(self):
-        assert LOOP ** 0 == LaurentPoly({0: 1})
-        assert LOOP ** 2 == LaurentPoly({4: 1, 0: 2, -4: 1})
+        """The tests' power helper."""
+        assert power(LOOP, 0) == LaurentPoly({0: 1})
+        assert power(LOOP, 2) == LaurentPoly({4: 1, 0: 2, -4: 1})
         with pytest.raises(ValueError):
-            LOOP ** -1
+            power(LOOP, -1)
 
     def test_framing_shift(self):
         p = RIGHT_TREFOIL_BRACKET
@@ -202,6 +214,17 @@ class TestKauffmanBracket:
 
     def test_right_trefoil_fixture(self):
         assert kauffman_bracket(TREFOIL_5X5) == RIGHT_TREFOIL_BRACKET
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_crossingless_unlink(self, k):
+        """k free loops and no crossing: d^(k-1)."""
+        assert kauffman_bracket(block_sum(*[UNKNOT] * k)) == power(LOOP, k - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_trefoil_beside_free_loops(self, k):
+        """The trefoil and k crossingless unknots: d^k times its bracket."""
+        g = block_sum(TREFOIL_5X5, *[UNKNOT] * k)
+        assert kauffman_bracket(g) == power(LOOP, k) * RIGHT_TREFOIL_BRACKET
 
     def test_sigma_pair_right_trefoil(self):
         hp = perm_decode(parse_permutation("4 2 5 3 1 6"))
