@@ -17,6 +17,7 @@ from .thompson import Tree
 
 _PERMUTATION = re.compile(rf"\s*(?:{INT}\s+)*(?:{INT})?")
 _COLUMNS = re.compile(rf"\s*{INT}\s*(?:,\s*{INT}\s*)*")
+_SIZE = re.compile(INT)  # the n field, already stripped
 
 
 @dataclass(frozen=True)
@@ -320,19 +321,26 @@ def _parse_fields(text: str, names: list[str]) -> dict[str, str]:
     return fields
 
 
-def _parse_cols(value: str) -> tuple[int, ...]:
+def _parse_ints(value: str, rule: re.Pattern[str], what: str) -> tuple[int, ...]:
     try:
-        if not _COLUMNS.fullmatch(value):
+        if not rule.fullmatch(value):
             raise ValueError(value)
         return tuple(map(int, value.split(",")))
     except ValueError:  # refused by the token rule, or more digits than int() reads
-        raise ParseError(f"malformed column list {value!r}") from None
+        raise ParseError(f"malformed {what} {value!r}") from None
+
+
+def _parse_marks(fields: dict[str, str]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The n, X and O fields, each integer read by the token rule."""
+    (n,) = _parse_ints(fields["n"], _SIZE, "n field")
+    return (n, _parse_ints(fields["X"], _COLUMNS, "column list"),
+            _parse_ints(fields["O"], _COLUMNS, "column list"))
 
 
 def parse_half_grid(text: str) -> HalfGrid:
     fields = _parse_fields(text, ["n", "X", "O"])
     try:
-        return HalfGrid(int(fields["n"]), _parse_cols(fields["X"]), _parse_cols(fields["O"]))
+        return HalfGrid(*_parse_marks(fields))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 
@@ -342,12 +350,7 @@ def parse_grid(text: str) -> GridDiagram:
     if fields["oriented"] not in ("true", "false"):
         raise ParseError("oriented must be 'true' or 'false'")
     try:
-        return GridDiagram(
-            int(fields["n"]),
-            _parse_cols(fields["X"]),
-            _parse_cols(fields["O"]),
-            oriented=fields["oriented"] == "true",
-        )
+        return GridDiagram(*_parse_marks(fields), oriented=fields["oriented"] == "true")
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

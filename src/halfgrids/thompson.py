@@ -16,7 +16,7 @@ work; only breakpoints, half grids and map values meet DEPTH_CAP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .dyadic import (
     DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, sign, spanning_intervals,
@@ -51,8 +51,8 @@ def _indices(depths) -> tuple[int, ...]:
 class Tree:
     """A full binary tree, given by the depths of its leaves left to right.
 
-    Equality, hashing and repr use the depths alone; `indices` is derived
-    from them."""
+    Equality, hashing and repr use the depths alone; `indices`, the leaf
+    indices `_indices` finds for them, is set when the tree is built."""
 
     depths: tuple[int, ...]
 
@@ -61,25 +61,18 @@ class Tree:
         object.__setattr__(self, "depths", depths)
         object.__setattr__(self, "indices", _indices(depths))
 
-    @cached_property
-    def indices(self) -> tuple[int, ...]:
-        """The leaf indices `_indices` finds for these depths."""
-        return _indices(self.depths)
-
     def __str__(self) -> str:
         return format_tree(self)
 
 
-def _trusted(depths: tuple[int, ...], indices: tuple[int, ...] | None = None) -> Tree:
-    """A Tree from depths the tree algebra built out of valid trees, or
-    read by `dyadic.partition_leaves` from a checked partition; skips the
-    `_indices` re-check that parsed and user-built trees go through.
-    Indices the builder knows are kept; otherwise they are found on first
-    read."""
+def _trusted(depths: tuple[int, ...], indices: tuple[int, ...]) -> Tree:
+    """A Tree from depths and indices the tree algebra built out of valid
+    trees, or read by `dyadic.partition_leaves` from a checked partition;
+    skips the `_indices` re-check that parsed and user-built trees go
+    through."""
     t = object.__new__(Tree)
     object.__setattr__(t, "depths", depths)
-    if indices is not None:
-        object.__setattr__(t, "indices", indices)
+    object.__setattr__(t, "indices", indices)
     return t
 
 
@@ -253,7 +246,7 @@ def multiply(g: TreePair, h: TreePair) -> TreePair:
     for d, i, j in _align(gb, ht):
         top.append(gt[i] + d - gb[i])
         bottom.append(hb[j] + d - ht[j])
-    return reduce_pair(TreePair(_trusted(tuple(top)), _trusted(tuple(bottom))))
+    return reduce_pair(TreePair(Tree(top), Tree(bottom)))
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:

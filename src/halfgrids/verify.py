@@ -2,7 +2,11 @@
 over all binary trees up to a leaf bound.
 
 Each check returns a (name, instance count, pass/fail, counterexample)
-record; the suite never raises on a failed property, it reports it.
+record; the suite never raises on a failed property, it reports it.  The
+suite walks the trees once and the same-size tree pairs once, by leaf count
+and then in `enumerate_trees` order; a per-tree check belongs in
+`_check_tree`, a per-pair check in the pair loop of `verify_suite`, so each
+check sees its instances in that order and reports the first that fails.
 """
 
 from __future__ import annotations
@@ -38,7 +42,6 @@ from .thompson import (
     inverse,
     is_oriented,
     is_oriented_via_points,
-    leaf_signs,
     multiply,
     node,
     LEAF,
@@ -48,6 +51,28 @@ from .thompson import (
 
 BRACKET_MIRROR_BUDGET = 300  # instance cap; enumeration order is fixed
 BRACKET_STAB_BUDGET = 200
+CHECKS = (
+    "spanning-cardinalities",
+    "spanning-two-routes-agree",
+    "half-grid-validity",
+    "half-grid-scan-vs-partition",
+    "column-marks-are-interval-signs",
+    "compatibility-from-signs",
+    "writhe-zero",
+    "top-half-crossings-positive",
+    "tb-and-rot",
+    "parity",
+    "seifert-euler",
+    "dual-membership-agreement",
+    "oriented-subgroup-closure",
+    "presentation-equality",
+    "abelianization-free-rank",
+    "abelianization-two-routes-agree",
+    "relator-shape",
+    "codec-roundtrip",
+    "bracket-stabilization",
+    "bracket-mirror",
+)
 
 
 @dataclass(frozen=True)
@@ -82,7 +107,8 @@ class Report:
 
 
 class _Check:
-    """Accumulates instances; records the first counterexample."""
+    """Accumulates instances; records the first counterexample, calling
+    `describe` before `record` returns, so it may read loop variables."""
 
     def __init__(self, name: str):
         self.name = name
@@ -100,106 +126,42 @@ class _Check:
         )
 
 
-def _all_trees(max_leaves: int) -> list[Tree]:
-    out: list[Tree] = []
-    for n in range(1, max_leaves + 1):
-        out.extend(enumerate_trees(n))
-    return out
-
-
 def verify_suite(max_leaves: int = 5) -> Report:
     if not 1 <= max_leaves <= 8:
         raise ValueError("max_leaves must be between 1 and 8")
-    trees = _all_trees(max_leaves)
-    partitions = {t: partition_from_tree(t) for t in trees}
-    halves = {t: half_grid_from_tree(t) for t in trees}
-
-    checks = {
-        name: _Check(name)
-        for name in (
-            "spanning-cardinalities",
-            "spanning-two-routes-agree",
-            "half-grid-validity",
-            "half-grid-scan-vs-partition",
-            "column-marks-are-interval-signs",
-            "compatibility-from-signs",
-            "writhe-zero",
-            "top-half-crossings-positive",
-            "tb-and-rot",
-            "parity",
-            "seifert-euler",
-            "dual-membership-agreement",
-            "oriented-subgroup-closure",
-            "presentation-equality",
-            "abelianization-free-rank",
-            "abelianization-two-routes-agree",
-            "relator-shape",
-            "codec-roundtrip",
-            "bracket-stabilization",
-            "bracket-mirror",
-        )
-    }
+    checks = {name: _Check(name) for name in CHECKS}
     converse_hits = 0
+    oriented = []  # reduced oriented pairs with n <= 4, for the closure check
 
-    for t in trees:
-        n = len(t.depths)
-        p = partitions[t]
-        spanning = spanning_intervals(p)
-        pos = sum(1 for iv in spanning if sign(iv) == "+")
-        c = checks["spanning-cardinalities"]
-        c.record(
-            len(spanning) == 2 * n - 1 and pos == n and len(spanning) - pos == n - 1,
-            lambda t=t: f"tree {t}",
-        )
-        checks["spanning-two-routes-agree"].record(
-            spanning == spanning_intervals_by_pairs(p), lambda t=t: f"tree {t}"
-        )
-
-        h = halves[t]
-        checks["half-grid-scan-vs-partition"].record(
-            h == half_grid_from_partition(p), lambda t=t: f"tree {t}"
-        )
-        ok = True
-        try:
-            HalfGrid(h.n, h.x_cols, h.o_cols)
-        except ValueError:
-            ok = False
-        checks["half-grid-validity"].record(ok and h.n == n, lambda t=t: f"tree {t}")
-
-        marks = h.column_marks()
-        want = tuple("X" if sign(iv) == "+" else "O" for iv in spanning)
-        checks["column-marks-are-interval-signs"].record(
-            marks[0] == "O" and marks[1:] == want, lambda t=t: f"tree {t}"
-        )
-
-        checks["codec-roundtrip"].record(
-            perm_decode(perm_encode(h)) == h, lambda t=t: f"tree {t}"
-        )
-
-    by_n: dict[int, list[Tree]] = {}
-    for t in trees:
-        by_n.setdefault(len(t.depths), []).append(t)
-
-    for n, group in sorted(by_n.items()):
-        for t1, t2 in itertools.product(group, repeat=2):
+    for n in range(1, max_leaves + 1):
+        halves = {t: _check_tree(checks, t) for t in enumerate_trees(n)}
+        for t1, t2 in itertools.product(halves, repeat=2):
             a, b = halves[t1], halves[t2]
-            same_signs = leaf_signs(t1) == leaf_signs(t2)
+            g = TreePair(t1, t2)
+            same_signs = is_oriented(g)
+            checks["dual-membership-agreement"].record(
+                same_signs == is_oriented_via_points(g), lambda: f"pair {g}"
+            )
             if same_signs:
                 compatible = is_compatible(a, b)
                 checks["compatibility-from-signs"].record(
-                    compatible, lambda t1=t1, t2=t2: f"trees {t1}, {t2}"
+                    compatible, lambda: f"trees {t1}, {t2}"
                 )
                 if compatible:
                     _check_compatible_pair(checks, n, t1, t2, a, b)
+                if n <= 4:  # reducing keeps the answer of is_oriented
+                    oriented.append(reduce_pair(g))
             elif is_compatible(a, b):
                 converse_hits += 1
 
             # presentation checks hold for any pair of equal size
             _check_presentation(checks, n, t1, t2, a, b)
 
-    _check_group_structure(checks, max_leaves)
-    _check_dual_membership(checks, max_leaves)
-    _check_bracket_mirror(checks, by_n, halves)
+    closure = checks["oriented-subgroup-closure"]
+    for g in oriented[:200]:
+        closure.record(is_oriented(inverse(g)), lambda: f"pair {g}")
+    for g, h in itertools.islice(itertools.product(oriented, repeat=2), 400):
+        closure.record(is_oriented(multiply(g, h)), lambda: f"pairs {g}, {h}")
 
     notes = (
         "incompatible partition pairs yielding compatible half grids: "
@@ -207,6 +169,39 @@ def verify_suite(max_leaves: int = 5) -> Report:
         "statement is not claimed)",
     )
     return Report(max_leaves, tuple(c.result() for c in checks.values()), notes)
+
+
+def _check_tree(checks, t: Tree) -> HalfGrid:
+    """Records the per-tree checks of t; returns its half grid."""
+    n = len(t.depths)
+    where = lambda: f"tree {t}"  # noqa: E731
+    p = partition_from_tree(t)
+    spanning = spanning_intervals(p)
+    pos = sum(1 for iv in spanning if sign(iv) == "+")
+    checks["spanning-cardinalities"].record(
+        len(spanning) == 2 * n - 1 and pos == n and len(spanning) - pos == n - 1, where
+    )
+    checks["spanning-two-routes-agree"].record(
+        spanning == spanning_intervals_by_pairs(p), where
+    )
+
+    h = half_grid_from_tree(t)
+    checks["half-grid-scan-vs-partition"].record(h == half_grid_from_partition(p), where)
+    ok = True
+    try:
+        HalfGrid(h.n, h.x_cols, h.o_cols)
+    except ValueError:
+        ok = False
+    checks["half-grid-validity"].record(ok and h.n == n, where)
+
+    marks = h.column_marks()
+    want = tuple("X" if sign(iv) == "+" else "O" for iv in spanning)
+    checks["column-marks-are-interval-signs"].record(
+        marks[0] == "O" and marks[1:] == want, where
+    )
+
+    checks["codec-roundtrip"].record(perm_decode(perm_encode(h)) == h, where)
+    return h
 
 
 def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
@@ -276,49 +271,12 @@ def _check_presentation(checks, n, t1, t2, a, b) -> None:
         len(from_perms.relators) == 2 * n - 1 and lengths == want, where
     )
 
+    # the first BRACKET_MIRROR_BUDGET pairs whose bracket is in reach
+    mirror = checks["bracket-mirror"]
+    if (
+        mirror.instances < BRACKET_MIRROR_BUDGET
+        and len(linkdiag.diagram(g).positions) <= linkdiag.BRACKET_CAP
+    ):
+        backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))
+        mirror.record(backward == linkdiag.kauffman_bracket(g).mirror(), where)
 
-def _check_group_structure(checks, max_leaves: int) -> None:
-    cap = min(max_leaves, 4)
-    pairs = []
-    for n in range(1, cap + 1):
-        for top in enumerate_trees(n):
-            for bottom in enumerate_trees(n):
-                pairs.append(reduce_pair(TreePair(top, bottom)))
-    oriented = [g for g in pairs if is_oriented(g)]
-    for g in oriented[:200]:
-        checks["oriented-subgroup-closure"].record(
-            is_oriented(inverse(g)), lambda g=g: f"pair {g}"
-        )
-    for g, h in itertools.islice(itertools.product(oriented, repeat=2), 400):
-        checks["oriented-subgroup-closure"].record(
-            is_oriented(multiply(g, h)), lambda g=g, h=h: f"pairs {g}, {h}"
-        )
-
-
-def _check_dual_membership(checks, max_leaves: int) -> None:
-    for n in range(1, max_leaves + 1):
-        for top in enumerate_trees(n):
-            for bottom in enumerate_trees(n):
-                g = TreePair(top, bottom)
-                checks["dual-membership-agreement"].record(
-                    is_oriented(g) == is_oriented_via_points(g),
-                    lambda g=g: f"pair {g}",
-                )
-
-
-def _check_bracket_mirror(checks, by_n, halves) -> None:
-    check = checks["bracket-mirror"]
-    for n, group in sorted(by_n.items()):
-        for t1, t2 in itertools.product(group, repeat=2):
-            if check.instances >= BRACKET_MIRROR_BUDGET:
-                return
-            a, b = halves[t1], halves[t2]
-            g = assemble_unoriented(a, b)
-            if len(linkdiag.diagram(g).positions) > linkdiag.BRACKET_CAP:
-                continue
-            forward = linkdiag.kauffman_bracket(g)
-            backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))
-            check.record(
-                backward == forward.mirror(),
-                lambda t1=t1, t2=t2: f"trees {t1}, {t2}",
-            )

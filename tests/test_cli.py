@@ -336,6 +336,13 @@ class TestIntegerTokens:
         assert run(capsys, "build", "--grid", str(path)) == (
             2, "", f"error: malformed column list {cols!r}\n")
 
+    @pytest.mark.parametrize("n", ["\u0664", "+4", "1_0", "x", "", pytest.param(LONG, id="long")])
+    def test_grid_size_refusal(self, capsys, tmp_path, n):
+        path = tmp_path / "g.grid"
+        path.write_text(f"n={n}; X=1,4,2,3; O=3,2,4,1; oriented=true\n", encoding="utf-8")
+        assert run(capsys, "build", "--grid", str(path)) == (
+            2, "", f"error: malformed n field {n!r}\n")
+
     def test_whitespace_around_integers_is_accepted(self, capsys, tmp_path):
         assert run(capsys, "encode", "--perms", " 2\t1 ", "2 1 ") == run(
             capsys, "encode", "--perms", "2 1", "2 1")

@@ -249,9 +249,8 @@ class TestIndices:
 
     def test_equality_hash_and_repr_use_depths_alone(self):
         for d in [(0,), (1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2, 2)]:
-            validated, trusted = Tree(d), _trusted(d)
+            validated, trusted = Tree(d), _trusted(d, _indices(d))
             assert validated == trusted and hash(validated) == hash(trusted)
-            assert "indices" not in vars(trusted)  # not read yet
             assert trusted.indices == validated.indices
             assert validated == trusted and hash(validated) == hash(trusted)
             assert repr(validated) == repr(trusted) == f"Tree(depths={d!r})"

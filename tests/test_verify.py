@@ -2,6 +2,7 @@ import pytest
 
 from halfgrids import linkdiag, verify
 from halfgrids.linkgroup import half_grid_relation_edges
+from halfgrids.thompson import parse_pair
 from halfgrids.verify import CheckResult, Report, verify_suite
 
 
@@ -83,3 +84,19 @@ class TestVerifySuite:
         by_name = {r.name: r for r in verify_suite(3).results}
         assert not by_name["abelianization-free-rank"].passed
         assert not by_name["abelianization-two-routes-agree"].passed
+
+    def test_failed_checks_report_their_first_counterexample(self, monkeypatch):
+        # each broken oracle fails on the first instance of its check's walk,
+        # which the report names; the instance counts do not depend on it
+        monkeypatch.setattr(verify, "is_oriented_via_points", lambda g: True)
+        monkeypatch.setattr(linkdiag.LaurentPoly, "mirror", lambda self: self)
+        monkeypatch.setattr(verify, "inverse", lambda g: parse_pair("(.(..))|((..).)"))
+        by_name = {r.name: r for r in verify_suite(4).results}
+        failed = {
+            (r.name, r.instances, r.counterexample) for r in by_name.values() if not r.passed
+        }
+        assert failed == {
+            ("dual-membership-agreement", 31, "pair (.(..))|((..).)"),
+            ("bracket-mirror", 31, "trees (.(.(..))), (((..).).)"),
+            ("oriented-subgroup-closure", 132, "pair .|."),
+        }
