@@ -54,7 +54,8 @@ class PlanarDiagram:
     ``row_crossings`` and ``col_crossings`` list their numbers per row (left
     to right) and per column (bottom to top).  An oriented diagram keeps
     each crossing's sign in ``signs``.  Cutting a closed diagram at its
-    crossings leaves arcs, labelled by `arcs`.
+    crossings leaves arcs, labelled by `arcs`; only the bracket, its sweep
+    order and the SVG renderer read those labels or ``col_crossings``.
     """
 
     def __init__(self, obj: GridDiagram | HalfGrid):
@@ -70,17 +71,20 @@ class PlanarDiagram:
         self.rows = tuple(zip(obj.x_cols, obj.o_cols))
 
     @cached_property
+    def _record(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+        return _sweep(self.rows, self.spans)
+
+    @cached_property
     def positions(self) -> tuple[tuple[int, int], ...]:
         """(col, row) of every crossing, in record order."""
-        return _sweep(self.rows, self.spans)
+        return self._record[0]
 
     @cached_property
     def row_crossings(self) -> tuple[range, ...]:
         """Each row's crossing numbers: consecutive, as the record numbers
         the crossings row by row."""
-        rows = [r for _, r in self.positions]
-        bounds = [bisect_left(rows, r) for r in range(1, self.height + 2)]
-        return tuple(map(range, bounds, bounds[1:]))
+        starts = self._record[1]
+        return tuple(map(range, starts, starts[1:]))
 
     @cached_property
     def col_crossings(self) -> tuple[tuple[int, ...], ...]:
@@ -164,8 +168,9 @@ class PlanarDiagram:
         return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), arcs, loops
 
 
-def _sweep(rows, spans) -> tuple[tuple[int, int], ...]:
-    """(col, row) of every crossing, row by row, left to right.
+def _sweep(rows, spans) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """(col, row) of every crossing, row by row, left to right, and each
+    row's first crossing number followed by the crossing count.
 
     One pass up the rows keeps the columns whose span strictly contains the
     current row in a sorted list; a row's crossings are the slice of that
@@ -175,16 +180,18 @@ def _sweep(rows, spans) -> tuple[tuple[int, int], ...]:
     """
     active = [c for c, (lo, _) in enumerate(spans, start=1) if lo == 0]
     out: list[tuple[int, int]] = []
+    starts = [0]
     for r, (x, o) in enumerate(rows, start=1):
         for c in (x, o):
             if spans[c - 1][1] == r:
                 del active[bisect_left(active, c)]
         lo, hi = (x, o) if x < o else (o, x)
         out.extend((c, r) for c in active[bisect_left(active, lo):bisect_left(active, hi)])
+        starts.append(len(out))
         for c in (x, o):
             if spans[c - 1][0] == r:
                 insort(active, c)
-    return tuple(out)
+    return tuple(out), tuple(starts)
 
 
 def diagram(obj: GridDiagram | HalfGrid) -> PlanarDiagram:
@@ -296,15 +303,64 @@ def seifert_stats(g: GridDiagram) -> tuple[int, int]:
     """(circles, euler) after orientation-respecting smoothing of all
     crossings; euler = circles - crossings.
 
-    The oriented smoothing joins each strand's incoming end to the other
-    strand's outgoing end.  That is the A-smoothing of _A_PAIRS exactly
-    when the two strands run east and north or west and south, that is,
-    at the positive crossings."""
+    The oriented smoothing turns a strand arriving at a crossing onto the
+    other strand's outgoing piece, so a Seifert circle alternates runs along
+    rows (X to O) and along columns (O to X).  Its states are the starts of
+    the column runs: crossing k is state k, and row r's O mark is state
+    c + r - 1.  A row run from crossing k ends at the next crossing of its
+    row (k + 1 going east, k - 1 going west, as the record numbers a row
+    left to right) or at the row's O mark: `hand[k]`.  One pass over the
+    crossings in record order, so bottom to top in every column, links each
+    state to the next one; a column keeps the state below it (running
+    north) or the row-run end its event below hands over to (running south).
+    A last pass over the columns links their top ends.  The circles are the
+    cycles of that permutation of c + m states: O(c + m) steps, without the
+    PD labels or the signs."""
     if not g.oriented:
         raise UnorientedDiagram("Seifert smoothing needs orientations")
     d = diagram(g)
-    circles = _loops(d, [s > 0 for s in d.signs])
-    return circles, circles - len(d.positions)
+    positions, spans, rows = d.positions, d.spans, d.rows
+    c = len(positions)
+    hand = list(range(1, c + 1))
+    after_x = []  # per row: where a row run from its X mark ends
+    for o_state, (x, o), ks in zip(range(c, c + d.height), rows, d.row_crossings):
+        if not ks:
+            after_x.append(o_state)
+        elif x < o:  # east: hand[k] = k + 1 already, but for the last
+            hand[ks.stop - 1] = o_state
+            after_x.append(ks.start)
+        else:
+            hand[ks.start:ks.stop] = range(ks.start - 1, ks.stop - 1)
+            hand[ks.start] = o_state
+            after_x.append(ks.stop - 1)
+    # per column: the state below (north), or ~ the row-run end below (south)
+    below = [0] * (d.width + 1)
+    for col, (lo, _) in enumerate(spans, start=1):  # O at the bottom: north
+        below[col] = c + lo - 1 if rows[lo - 1][1] == col else ~after_x[lo - 1]
+    succ = [0] * (c + d.height)
+    for k, (col, _), h in zip(range(c), positions, hand):
+        v = below[col]
+        if v >= 0:
+            succ[v] = h
+            below[col] = k
+        else:
+            succ[k] = ~v
+            below[col] = ~h
+    for col, (_, hi) in enumerate(spans, start=1):
+        v = below[col]
+        if v >= 0:  # up to the X on top
+            succ[v] = after_x[hi - 1]
+        else:  # down from the O on top
+            succ[c + hi - 1] = ~v
+    seen = bytearray(len(succ))
+    circles = 0
+    for s in range(len(succ)):
+        if not seen[s]:
+            circles += 1
+            while not seen[s]:
+                seen[s] = 1
+                s = succ[s]
+    return circles, circles - c
 
 
 class LaurentPoly:
@@ -387,18 +443,6 @@ def _splice(mate, arcs, ends) -> int:
         else:
             far_x, far_y = mate[x], mate[y]
             mate[far_x], mate[far_y] = far_y, far_x
-    return loops
-
-
-def _loops(d: PlanarDiagram, a_smoothed) -> int:
-    """Circles left after smoothing crossing k A-wise where a_smoothed[k]
-    is true and B-wise where it is false: one `_splice` per crossing on a
-    mate table that starts with every arc its own path, plus the free loops."""
-    pd, arc_count, free_loops = d.arcs
-    mate = list(range(arc_count))
-    loops = free_loops
-    for arcs, a in zip(pd, a_smoothed):
-        loops += _splice(mate, arcs, _A_ENDS if a else _B_ENDS)
     return loops
 
 

@@ -20,6 +20,7 @@ from halfgrids import cli, linkdiag
 from halfgrids.dyadic import DEPTH_CAP
 from halfgrids.halfgrid import (
     GridDiagram,
+    HalfGrid,
     assemble,
     assemble_unoriented,
     half_grid_from_tree,
@@ -35,7 +36,6 @@ from halfgrids.linkdiag import (
     LOOP,
     LaurentPoly,
     _crossing_positions,
-    _loops,
     _splice,
     _sweep_order,
     components,
@@ -49,7 +49,7 @@ from halfgrids.linkdiag import (
 )
 from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, parse_pair
 
-from _brackets import power
+from _brackets import pd_loops, power
 
 EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
@@ -460,6 +460,35 @@ half_grids = st.integers(1, 20).flatmap(lambda n: st.permutations(range(1, 2 * n
 )
 
 
+@st.composite
+def dense_perm_stacks(draw, min_n=25, max_n=50):
+    """A compatible stack of two permutation half grids, drawn the way the
+    benchmark draws them: one shared X/O column pattern, the rows of each
+    half in their own order, so rows and columns run both ways."""
+    n = draw(st.integers(min_n, max_n))
+    cols = draw(st.permutations(range(1, 2 * n + 1)))
+    halves = [HalfGrid(n, tuple(draw(st.permutations(cols[:n]))),
+                       tuple(draw(st.permutations(cols[n:]))))
+              for _ in range(2)]
+    return assemble(*halves)
+
+
+UNKNOT = GridDiagram(2, (1, 2), (2, 1))
+
+
+@st.composite
+def beside_free_loops(draw):
+    """An oriented grid with crossingless unknots placed corner to corner
+    along the diagonal, before and after it."""
+    g = draw(oriented_grids(12))
+    before, after = draw(st.integers(0, 3)), draw(st.integers(1, 3))
+    x, o = [], []
+    for block in [UNKNOT] * before + [g] + [UNKNOT] * after:
+        x += [len(o) + c for c in block.x_cols]
+        o += [len(o) + c for c in block.o_cols]
+    return GridDiagram(len(x), tuple(x), tuple(o))
+
+
 def check_record(g):
     assert _crossing_positions(g) == oracle_crossing_positions(g)
     assert components(g) == oracle_components(g)
@@ -504,7 +533,21 @@ def test_loops_match_oracle(g, data):
     d = diagram(g)
     c = len(d.positions)
     smoothing = data.draw(st.lists(st.booleans(), min_size=c, max_size=c))
-    assert _loops(d, smoothing) == oracle_loops(d, smoothing)
+    assert pd_loops(d, smoothing) == oracle_loops(d, smoothing)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(tree_stacks(200, min_leaves=66).filter(lambda g: g.oriented),
+                 dense_perm_stacks(), beside_free_loops()))
+def test_seifert_stats_at_benchmark_sizes(g):
+    """The walk over the record against the piece-tracing oracle and the PD
+    route (a splice per crossing, A-wise at the positive ones), on tree
+    stacks with 66 to 200 leaves, dense permutation stacks with 25 to 50
+    rows per half, and grids beside crossingless unknots."""
+    d = diagram(g)
+    circles, euler = seifert_stats(g)
+    assert (circles, euler) == oracle_seifert_stats(g)
+    assert circles == pd_loops(d, [s > 0 for s in d.signs])
 
 
 @settings(max_examples=40, deadline=None)
@@ -629,3 +672,24 @@ def test_crossings_are_found_once_and_only_when_read(monkeypatch, argv, sweeps):
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main([*argv, "--trees", "(((..).).)|(((..).).)"])
     assert code == 0 and len(calls) == sweeps
+
+
+def test_invariants_above_the_bracket_cap_build_no_arc_labels(monkeypatch):
+    """The bracket is skipped above its cap, and nothing else `invariants`
+    prints reads the PD labels or the per-column grouping."""
+    grids = []
+    grid = cli._grid
+
+    def kept(args):
+        grids.append(grid(args))
+        return grids[-1]
+
+    monkeypatch.setattr(cli, "_grid", kept)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["invariants", "--trees",  # oriented, 38 crossings
+                         "(((((..)(..))(.((..)((..).)))).)(((.((..)(..)))(..))(..)))"
+                         "|(((((..)(.(.(.((..)((..).)))))).)((.((..)((..)(..)))).)).)"])
+    (g,) = grids
+    assert code == 0 and g.oriented
+    assert {"arcs", "col_crossings"}.isdisjoint(vars(diagram(g)))
+    assert len(diagram(g).positions) == 38 > linkdiag.BRACKET_CAP
