@@ -35,10 +35,7 @@ class HalfGrid:
         used = list(self.x_cols) + list(self.o_cols)
         if sorted(used) != list(range(1, 2 * n + 1)):
             raise ValueError("columns must be a permutation of 1..2n")
-        mark_rows = [0] * (2 * n)
-        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
-            mark_rows[x - 1] = mark_rows[o - 1] = r
-        object.__setattr__(self, "_mark_rows", tuple(mark_rows))
+        object.__setattr__(self, "_mark_rows", _mark_rows(n, self.x_cols, self.o_cols))
 
     def column_marks(self) -> tuple[str, ...]:
         """Mark type per column, 'X' or 'O'."""
@@ -57,6 +54,26 @@ class HalfGrid:
 
     def __str__(self) -> str:
         return format_half_grid(self)
+
+
+def _mark_rows(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]) -> tuple[int, ...]:
+    """The row of each column's mark."""
+    rows = [0] * (2 * n)
+    for r, (x, o) in enumerate(zip(x_cols, o_cols), start=1):
+        rows[x - 1] = rows[o - 1] = r
+    return tuple(rows)
+
+
+def _trusted_half_grid(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
+                       mark_rows: tuple[int, ...]) -> HalfGrid:
+    """A HalfGrid from marks built valid by construction, with the mark-row
+    table its builder already knows; skips the checks that parsed and
+    user-built half grids go through."""
+    h = object.__new__(HalfGrid)
+    for name, value in (("n", n), ("x_cols", x_cols), ("o_cols", o_cols),
+                        ("_mark_rows", mark_rows)):
+        object.__setattr__(h, name, value)
+    return h
 
 
 @dataclass(frozen=True)
@@ -96,8 +113,9 @@ class GridDiagram:
 
     def unoriented(self) -> "GridDiagram":
         """The same marks read as one symbol.  A valid grid, oriented or
-        not, has two marks in every column, so the result needs no re-check."""
-        return _trusted_grid(self.size, self.x_cols, self.o_cols, oriented=False)
+        not, has two marks in every column, so the result needs no re-check,
+        and its span table is this grid's."""
+        return _trusted_grid(self.size, self.x_cols, self.o_cols, False, self._spans)
 
     def __str__(self) -> str:
         return format_grid(self)
@@ -118,15 +136,14 @@ def _fill_spans(g: GridDiagram) -> None:
 
 
 def _trusted_grid(size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
-                  oriented: bool) -> GridDiagram:
+                  oriented: bool, spans: tuple[tuple[int, int], ...]) -> GridDiagram:
     """A GridDiagram from marks stacked out of two valid half grids or
-    copied from a valid grid; fills only the span table and skips the
-    checks that parsed and user-built grids go through."""
+    copied from a valid grid, with the span table its builder already
+    knows; skips the checks that parsed and user-built grids go through."""
     g = object.__new__(GridDiagram)
     for name, value in (("size", size), ("x_cols", x_cols), ("o_cols", o_cols),
-                        ("oriented", oriented)):
+                        ("oriented", oriented), ("_spans", spans)):
         object.__setattr__(g, name, value)
-    _fill_spans(g)
     return g
 
 
@@ -171,41 +188,36 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
     odd number of 1-bits (k an even number of them).  The spanning
     intervals in midpoint order are the in-order walk: each leaf, then the
     caret whose midpoint is the leaf's right end, found by dropping the
-    trailing 1-bits of the leaf's id and one more bit.  Rows are the
-    positive intervals deepest first, k ascending within a depth, which is
-    the order the walk meets them in; a negative interval takes its
-    sibling's row.  Trees deeper than DEPTH_CAP are refused, as their
+    trailing 1-bits of the leaf's id and one more bit.  They fill columns 2
+    to 2n, and column 1 takes id 0, a stand-in sibling for the root (id 1)
+    that places the default O.  Sorted by id, the columns fall into sibling
+    pairs, ids 2j and 2j + 1, each one positive interval (a row's X) and
+    its negative sibling (the row's O).  Rows are the pairs deepest first,
+    k ascending within a depth, which a stable sort of the id-ordered pairs
+    by depth gives.  The marks are valid by construction and are not
+    re-checked.  Trees deeper than DEPTH_CAP are refused, as their
     partitions are.
     """
     depths = t.depths
-    deepest = max(depths)
-    if deepest > DEPTH_CAP:
+    if max(depths) > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
     n = len(depths)
-    walk = []  # heap ids of the spanning intervals, midpoint order
-    for d, k in zip(depths, t.indices):
-        h = (1 << d) | k
-        walk.append(h)
-        walk.append(h >> (h ^ (h + 1)).bit_length())
-    walk.pop()  # the last leaf's id is all 1-bits: no caret follows it
-    by_depth: list[list[int]] = [[] for _ in range(deepest + 1)]
-    for h in walk:
-        if h.bit_count() & 1:  # positive
-            by_depth[h.bit_length() - 1].append(h)
-    row = {}
-    for bucket in reversed(by_depth):
-        for h in bucket:
-            row[h] = len(row) + 1
-    x_cols = [0] * n
-    o_cols = [0] * n
-    o_cols[n - 1] = 1  # default O at (1, n)
-    for col, h in enumerate(walk, start=2):
-        r = row.get(h)
-        if r:
-            x_cols[r - 1] = col
-        else:
-            o_cols[row[h ^ 1] - 1] = col
-    return HalfGrid(n, tuple(x_cols), tuple(o_cols))
+    ids = [0] * (2 * n + 1)  # per column; ids[0] is unused
+    ids[2::2] = leaves = [(1 << d) | k for d, k in zip(depths, t.indices)]
+    # the last leaf's id is all 1-bits: no caret follows it
+    ids[3::2] = [h >> (h ^ (h + 1)).bit_length() for h in leaves[:-1]]
+    by_id = sorted(range(1, 2 * n + 1), key=ids.__getitem__)
+    evens, odds = by_id[0::2], by_id[1::2]
+    depth = [ids[c].bit_length() for c in odds]
+    x_cols, o_cols = [], []
+    mark_rows = [0] * (2 * n + 1)
+    for r, i in enumerate(sorted(range(n), key=depth.__getitem__, reverse=True), start=1):
+        a, b = evens[i], odds[i]
+        mark_rows[a] = mark_rows[b] = r
+        x, o = (a, b) if ids[a].bit_count() & 1 else (b, a)
+        x_cols.append(x)
+        o_cols.append(o)
+    return _trusted_half_grid(n, tuple(x_cols), tuple(o_cols), tuple(mark_rows[1:]))
 
 
 def half_grid_from_partition(p: SdPartition) -> HalfGrid:
@@ -240,39 +252,35 @@ def half_grid_from_partition(p: SdPartition) -> HalfGrid:
 
 
 def is_compatible(a: HalfGrid, b: HalfGrid) -> bool:
-    """Same mark type in every column."""
+    """Same mark type in every column: the same O columns, as the X columns
+    are the rest."""
     if a.n != b.n:
         raise SizeMismatch(f"half grid sizes differ: {a.n} vs {b.n}")
-    return a.column_marks() == b.column_marks()
+    return set(a.o_cols) == set(b.o_cols)
 
 
-def _stacked_coords(top: HalfGrid, bottom: HalfGrid) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Coordinates of the 2n x 2n stack: flipped bottom (marks swapped), then top."""
+def _stack(top: HalfGrid, bottom: HalfGrid, oriented: bool) -> GridDiagram:
+    """The 2n x 2n stack: flipped bottom (marks swapped), then top.  Column
+    c holds one mark of each half, bottom row r at stack row n + 1 - r and
+    top row r at n + r, so its span comes straight from the mark rows."""
     n = top.n
-    x_cols = []
-    o_cols = []
-    for r in range(n, 0, -1):  # bottom rows, reversed, X and O swapped
-        x_cols.append(bottom.o_cols[r - 1])
-        o_cols.append(bottom.x_cols[r - 1])
-    x_cols.extend(top.x_cols)
-    o_cols.extend(top.o_cols)
-    return tuple(x_cols), tuple(o_cols)
+    spans = tuple(zip([n + 1 - r for r in bottom._mark_rows], [n + r for r in top._mark_rows]))
+    return _trusted_grid(2 * n, bottom.o_cols[::-1] + top.x_cols,
+                         bottom.x_cols[::-1] + top.o_cols, oriented, spans)
 
 
 def assemble(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
     """Stack two compatible half grids into an oriented grid diagram."""
     if not is_compatible(top, bottom):
         raise Incompatible("half grids disagree in some column")
-    x_cols, o_cols = _stacked_coords(top, bottom)
-    return _trusted_grid(2 * top.n, x_cols, o_cols, oriented=True)
+    return _stack(top, bottom, oriented=True)
 
 
 def assemble_unoriented(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
     """Stack any two equal-size half grids, marks read unoriented."""
     if top.n != bottom.n:
         raise SizeMismatch(f"half grid sizes differ: {top.n} vs {bottom.n}")
-    x_cols, o_cols = _stacked_coords(top, bottom)
-    return _trusted_grid(2 * top.n, x_cols, o_cols, oriented=False)
+    return _stack(top, bottom, oriented=False)
 
 
 def perm_encode(h: HalfGrid) -> Permutation:
@@ -285,6 +293,9 @@ def perm_encode(h: HalfGrid) -> Permutation:
 
 
 def perm_decode(sigma: Permutation) -> HalfGrid:
+    """The half grid with X(r) = sigma(2r - 1) and O(r) = sigma(2r).  A
+    Permutation is already a bijection on 1..2n, so every column holds one
+    mark and the half grid needs no re-check."""
     if sigma.degree % 2:
         raise NotAPermutation("half grid permutation needs even degree")
     if not sigma.degree:
@@ -292,7 +303,7 @@ def perm_decode(sigma: Permutation) -> HalfGrid:
     n = sigma.degree // 2
     x_cols = tuple(sigma.images[0::2])
     o_cols = tuple(sigma.images[1::2])
-    return HalfGrid(n, x_cols, o_cols)
+    return _trusted_half_grid(n, x_cols, o_cols, _mark_rows(n, x_cols, o_cols))
 
 
 def format_half_grid(h: HalfGrid) -> str:

@@ -5,28 +5,21 @@ connect O to X, horizontal strands cross over vertical ones.  A crossing is
 positive exactly when the over direction is the under direction rotated a
 quarter turn clockwise; this is the convention under which every crossing
 of a constructed half-grid tangle comes out positive, which the test suite
-checks explicitly.
+checks explicitly.  A quarter turn clockwise takes north to east and south
+to west, so a crossing is positive exactly when "the row runs east" (its X
+left of its O) equals "the column runs north" (its X on top).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress, repeat
 
 from .errors import TooManyCrossings, UnorientedDiagram
 from .halfgrid import GridDiagram, HalfGrid
 
 BRACKET_CAP = 24
-
-EAST = (1, 0)
-WEST = (-1, 0)
-NORTH = (0, 1)
-SOUTH = (0, -1)
-
-
-def _rotate_cw(d: tuple[int, int]) -> tuple[int, int]:
-    return (d[1], -d[0])
 
 
 @dataclass(frozen=True)
@@ -47,9 +40,11 @@ class PlanarDiagram:
     the rows ``spans[c - 1]``, where row 0 is the bottom edge that the
     columns of a half grid drop to.  Building the record reads only these,
     in O(m) steps for m columns.  Everything else is computed on first use
-    and kept: the crossings by one O(m log m + c) sweep for c crossings, so
-    a command that only renders text never looks for them (`render_ascii`
-    takes O(m) interpreted steps and copies its O(m^2) characters in bulk).
+    and kept: the crossings by one sweep of O(m + c) interpreted steps for c
+    crossings plus C-level byte scans over each row's width (O(m * depth)
+    bytes on a tree stack, O(m^2) at worst), so a command that only renders
+    text never looks for them (`render_ascii` takes O(m) interpreted steps
+    and copies its O(m^2) characters in bulk).
     Crossings are numbered row by row, left to right, in ``positions``;
     ``row_crossings`` and ``col_crossings`` list their numbers per row (left
     to right) and per column (bottom to top).  An oriented diagram keeps
@@ -98,16 +93,12 @@ class PlanarDiagram:
         """Crossing signs of an oriented diagram; empty for an unoriented one."""
         if not self.oriented:
             return ()
-        # rows run X to O; columns run O to X, so north when the X is on top
-        row_dir = [EAST if o > x else WEST for x, o in self.rows]
-        turned_col_dir = [
-            _rotate_cw(NORTH if self.rows[hi - 1][0] == c else SOUTH)
-            for c, (_, hi) in enumerate(self.spans, start=1)
-        ]
-        return tuple([
-            1 if row_dir[r - 1] == turned_col_dir[c - 1] else -1
-            for c, r in self.positions
-        ])
+        # rows run X to O, so east when the X is on the left; columns run O
+        # to X, so north when the X is on top; positive when both or neither
+        rows = self.rows
+        east = [False] + [x < o for x, o in rows]
+        north = [False] + [rows[hi - 1][0] == c for c, (_, hi) in enumerate(self.spans, start=1)]
+        return tuple([1 if east[r] == north[c] else -1 for c, r in self.positions])
 
     @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
@@ -172,25 +163,33 @@ def _sweep(rows, spans) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
     """(col, row) of every crossing, row by row, left to right, and each
     row's first crossing number followed by the crossing count.
 
-    One pass up the rows keeps the columns whose span strictly contains the
-    current row in a sorted list; a row's crossings are the slice of that
-    list strictly between its two marks.  Each mark ends its column's span,
-    so the column leaves the list before the slice (top end) or joins it
-    after (bottom end).
+    One pass up the rows keeps one byte per column, set while the column's
+    span strictly contains the current row; a row's crossings are the set
+    bytes strictly between its two marks.  Each mark is one end of its
+    column's span, so the row flips its two marks' bytes after reading its
+    crossings: on at a bottom end, off at a top end.  The bytes between the
+    marks are counted in C; one crossing, the usual case on tree stacks, is
+    found by one more scan, more by one `compress` over the slice.  That is
+    O(m + c) interpreted steps for m columns and c crossings, plus byte
+    scans over each row's width: O(m * depth) bytes on a tree stack, O(m^2)
+    at worst.
     """
-    active = [c for c, (lo, _) in enumerate(spans, start=1) if lo == 0]
+    # indexed by column, byte 0 unused; a half grid's columns start at the
+    # bottom edge, row 0
+    live = bytearray([0, *(lo == 0 for lo, _ in spans)])
+    count, find = live.count, live.find
     out: list[tuple[int, int]] = []
     starts = [0]
     for r, (x, o) in enumerate(rows, start=1):
-        for c in (x, o):
-            if spans[c - 1][1] == r:
-                del active[bisect_left(active, c)]
-        lo, hi = (x, o) if x < o else (o, x)
-        out.extend((c, r) for c in active[bisect_left(active, lo):bisect_left(active, hi)])
+        lo, hi = (x + 1, o) if x < o else (o + 1, x)
+        k = count(1, lo, hi)
+        if k == 1:
+            out.append((find(1, lo, hi), r))
+        elif k:
+            out += zip(compress(range(lo, hi), live[lo:hi]), repeat(r))
         starts.append(len(out))
-        for c in (x, o):
-            if spans[c - 1][0] == r:
-                insort(active, c)
+        live[x] ^= 1
+        live[o] ^= 1
     return tuple(out), tuple(starts)
 
 
@@ -272,20 +271,21 @@ def front_stats(g: GridDiagram) -> FrontStats:
     """Legendrian front data after the quarter-turn correspondence: cusps are
     the NE and SW corners; an NE corner is an up cusp at an X and a down cusp
     at an O, and the other way around for SW corners.  A mark's corner is
-    named by the two strand stubs leaving it."""
+    named by the two strand stubs leaving it: a row's left mark is an SW
+    corner when its column's span starts at the row, its right mark an NE
+    corner when its column's span ends there.  The left mark is the X
+    exactly when the row runs east, so both corners of a row are down cusps
+    when it runs east and up cusps when it runs west."""
     if not g.oriented:
         raise UnorientedDiagram("front statistics need X/O marks")
     d = diagram(g)
+    spans = d.spans
     up = down = 0
     for r, (x, o) in enumerate(d.rows, start=1):
-        for c, partner, is_x in ((x, o, True), (o, x, False)):
-            lo, hi = d.spans[c - 1]
-            if partner < c and r == hi:  # NE: stubs leave west and south
-                up += is_x
-                down += not is_x
-            elif partner > c and r == lo:  # SW: stubs leave east and north
-                up += not is_x
-                down += is_x
+        if x < o:
+            down += (spans[x - 1][0] == r) + (spans[o - 1][1] == r)
+        else:
+            up += (spans[o - 1][0] == r) + (spans[x - 1][1] == r)
     cusps = up + down
     w = writhe(g)
     assert cusps % 2 == 0 and (down - up) % 2 == 0, "open front: odd cusp parity"

@@ -67,9 +67,9 @@ class Tree:
 
 def _trusted(depths: tuple[int, ...], indices: tuple[int, ...]) -> Tree:
     """A Tree from depths and indices the tree algebra built out of valid
-    trees, or read by `dyadic.partition_leaves` from a checked partition;
-    skips the `_indices` re-check that parsed and user-built trees go
-    through."""
+    trees, read by `parse_tree` from a text its grammar accepted, or read
+    by `dyadic.partition_leaves` from a checked partition; skips the
+    `_indices` re-check that user-built trees go through."""
     t = object.__new__(Tree)
     object.__setattr__(t, "depths", depths)
     object.__setattr__(t, "indices", indices)
@@ -96,8 +96,15 @@ def format_tree(t: Tree) -> str:
 
 
 def parse_tree(text: str) -> Tree:
+    """The tree a text of '(', '.' and ')' spells.  The scan tracks the
+    index k of the current node at its depth, so it finds the leaf indices
+    too: a '(' steps to the left child (k <<= 1), a right child is its left
+    sibling's k + 1, and a ')' steps back to the parent (k >>= 1).  The
+    grammar admits only full binary trees, so the tree is not re-checked."""
     depths: list[int] = []
+    indices: list[int] = []
     filled: list[bool] = []  # per open '(': has its left child been read?
+    k = 0
     pos, end = 0, len(text)
     while True:  # read one subtree starting at pos
         if pos == end:
@@ -106,21 +113,25 @@ def parse_tree(text: str) -> Tree:
         pos += 1
         if ch == "(":
             filled.append(False)
+            k <<= 1
             continue
         if ch != ".":
             raise ParseError(f"unexpected character {ch!r} in tree")
         depths.append(len(filled))
+        indices.append(k)
         while filled and filled[-1]:  # a right child ends its parent
             if pos == end or text[pos] != ")":
                 raise ParseError("missing ')' in tree")
             pos += 1
             filled.pop()
+            k >>= 1
         if not filled:
             break
         filled[-1] = True
+        k += 1
     if pos < end:
         raise ParseError(f"trailing characters {text[pos:]!r} after tree")
-    return Tree(tuple(depths))
+    return _trusted(tuple(depths), tuple(indices))
 
 
 def tree_from_partition(p: SdPartition) -> Tree:

@@ -209,7 +209,9 @@ class TestVerifyCommand:
     def test_failure_exit_code(self, capsys, monkeypatch):
         from halfgrids import linkdiag
 
-        monkeypatch.setattr(linkdiag, "_rotate_cw", lambda d: (-d[1], d[0]))
+        signs = linkdiag.PlanarDiagram.signs.func  # flip every crossing sign
+        monkeypatch.setattr(linkdiag.PlanarDiagram, "signs",
+                            property(lambda d: tuple(-s for s in signs(d))))
         code, out, _ = run(capsys, "verify", "--max-leaves", "3")
         assert code == 3
         assert "FAIL" in out

@@ -10,6 +10,7 @@ unoriented grids, random half grids and tree stacks.
 import contextlib
 import io
 import itertools
+import random
 from collections import Counter
 
 import pytest
@@ -50,6 +51,7 @@ from halfgrids.linkdiag import (
 from halfgrids.thompson import LEAF, enumerate_trees, leaf_signs, node, parse_pair
 
 from _brackets import pd_loops, power
+from _trees import random_tree
 
 EAST, WEST, NORTH, SOUTH = (1, 0), (-1, 0), (0, 1), (0, -1)
 RIGHT_TREFOIL_BRACKET = LaurentPoly({-7: 1, -3: -1, 5: -1})
@@ -493,8 +495,9 @@ def check_record(g):
     assert _crossing_positions(g) == oracle_crossing_positions(g)
     assert components(g) == oracle_components(g)
     if g.oriented:
-        assert [(x.col, x.row, x.sign) for x in crossings(g)] == oracle_signed_crossings(g)
-        assert writhe(g) == sum(s for _, _, s in oracle_signed_crossings(g))
+        signed = oracle_signed_crossings(g)
+        assert [(x.col, x.row, x.sign) for x in crossings(g)] == signed
+        assert writhe(g) == sum(s for _, _, s in signed)
         s = front_stats(g)
         assert (s.writhe, s.cusps, s.up_cusps, s.down_cusps, s.tb, s.rot) == oracle_front_stats(g)
         assert seifert_stats(g) == oracle_seifert_stats(g)
@@ -506,6 +509,56 @@ def check_record(g):
 @given(any_grid)
 def test_record_matches_oracles(g):
     check_record(g)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.one_of(tree_stacks(200, min_leaves=66).filter(lambda g: g.oriented),
+                 dense_perm_stacks()))
+def test_record_matches_oracles_at_benchmark_sizes(g):
+    """Compatible tree stacks with 66 to 200 leaves, whose rows mostly have
+    one crossing (the sweep's single `find`), and dense permutation stacks
+    with 25 to 50 rows per half, whose rows have many (its `compress`)."""
+    check_record(g)
+
+
+def zigzag(depth):
+    """The tree whose inner nodes hang off alternate sides, down to depth."""
+    t = LEAF
+    for i in range(depth):
+        t = node(t, LEAF) if i % 2 else node(LEAF, t)
+    return t
+
+
+class CountedBytes(bytearray):
+    """A bytearray that adds up the bytes its `count` calls are given."""
+
+    counted = 0
+
+    def count(self, sub, start, end):
+        CountedBytes.counted += end - start
+        return super().count(sub, start, end)
+
+
+def test_sweep_scans_each_row_width_once(monkeypatch):
+    """The sweep's cost, counted: per row it counts the column bytes strictly
+    between the row's marks, |x - o| - 1 of them, and on a stack of tree
+    half grids these add up to at most DEPTH_CAP + 1 bytes per column, for
+    a depth-61 zigzag tree as for random trees with 2000 leaves."""
+    monkeypatch.setattr(linkdiag, "bytearray", CountedBytes, raising=False)
+    rng = random.Random(2000)
+    pairs = [(zigzag(61),) * 2]
+    while len(pairs) < 4:
+        top, bottom = random_tree(2000, rng), random_tree(2000, rng)
+        if max(top.depths + bottom.depths) <= DEPTH_CAP:
+            pairs.append((top, bottom))
+    for top, bottom in pairs:
+        a, b = half_grid_from_tree(top), half_grid_from_tree(bottom)
+        g = assemble(a, b) if is_compatible(a, b) else assemble_unoriented(a, b)
+        d = diagram(g)
+        CountedBytes.counted = 0
+        assert len(d.positions) == 2 * (a.n - 1)
+        widths = sum(abs(x - o) - 1 for x, o in d.rows)
+        assert CountedBytes.counted == widths <= (DEPTH_CAP + 1) * d.width
 
 
 @settings(max_examples=100, deadline=None)

@@ -60,18 +60,32 @@ def split_trees(draw, max_leaves=400, max_depth=DEPTH_CAP - 1):
     return Tree(tuple(depths))
 
 
+def assert_matches_checked(h):
+    """A half grid built without the checks equals the one that passes them,
+    mark-row table included."""
+    checked = HalfGrid(h.n, h.x_cols, h.o_cols)
+    assert h == checked
+    columns = range(1, 2 * h.n + 1)
+    assert [h.column_row(c) for c in columns] == [checked.column_row(c) for c in columns]
+
+
 class TestScan:
-    """half_grid_from_tree against the partition route it replaced."""
+    """half_grid_from_tree against the partition route it replaced, and
+    against the checks it skips."""
 
     def test_every_tree_up_to_nine_leaves(self):
         for n in range(1, 10):
             for t in enumerate_trees(n):
-                assert half_grid_from_tree(t) == half_grid_from_partition(partition_from_tree(t))
+                h = half_grid_from_tree(t)
+                assert h == half_grid_from_partition(partition_from_tree(t))
+                assert_matches_checked(h)
 
     @settings(max_examples=100, deadline=None)
     @given(split_trees())
     def test_random_trees(self, t):
-        assert half_grid_from_tree(t) == half_grid_from_partition(partition_from_tree(t))
+        h = half_grid_from_tree(t)
+        assert h == half_grid_from_partition(partition_from_tree(t))
+        assert_matches_checked(h)
 
     def test_depth_bound(self):
         def left_comb(depth):
@@ -148,9 +162,17 @@ def half_grid_pairs(draw, max_n=20):
     return top, perm_decode(Permutation(tuple(draw(st.permutations(range(1, 2 * n + 1))))))
 
 
+@st.composite
+def tree_half_grid_pairs(draw):
+    """The half grids of a random tree and of it or its mirror image."""
+    t = draw(split_trees())
+    bottom = Tree(tuple(reversed(t.depths))) if draw(st.booleans()) else t
+    return half_grid_from_tree(t), half_grid_from_tree(bottom)
+
+
 class TestAssemble:
     @settings(max_examples=200, deadline=None)
-    @given(half_grid_pairs())
+    @given(st.one_of(half_grid_pairs(), tree_half_grid_pairs()))
     def test_stacks_equal_validated_grids(self, pair):
         """Stacks and their unoriented() copies skip the grid checks; each
         equals the grid that passes them, span table included."""
@@ -230,13 +252,19 @@ class TestCodec:
             sigma = Permutation(tuple(images))
             assert perm_encode(perm_decode(sigma)) == sigma
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.permutations(range(1, 2 * n + 1))))
+    def test_decoded_half_grids_match_checked(self, images):
+        assert_matches_checked(perm_decode(Permutation(tuple(images))))
+
     def test_rejections(self):
         with pytest.raises(NotAPermutation):
             Permutation((1, 1, 2))
-        with pytest.raises(NotAPermutation):
-            perm_decode(Permutation((2, 3, 1)))  # odd degree
-        with pytest.raises(NotAPermutation):
-            perm_decode(Permutation(()))  # no rows
+        with pytest.raises(NotAPermutation, match="^half grid permutation needs even degree$"):
+            perm_decode(Permutation((2, 3, 1)))
+        with pytest.raises(NotAPermutation,
+                           match="^half grid permutation needs at least one row$"):
+            perm_decode(Permutation(()))
         for bad in ["1 two 3", "1_0 2", "+1 2", "\u0661 2", "1 2-", "1 " + "2" * 5000]:
             with pytest.raises(ParseError):
                 parse_permutation(bad)

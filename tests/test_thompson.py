@@ -52,12 +52,24 @@ class TestTree:
     def test_parse_format_roundtrip(self):
         for n in range(1, 6):
             for t in enumerate_trees(n):
-                assert parse_tree(format_tree(t)) == t
+                parsed = parse_tree(format_tree(t))
+                assert parsed == t and parsed.indices == t.indices
 
     def test_parse_errors(self):
-        for bad in ["", "(", "(.", "(.)", "(..))", "(..).", "x"]:
-            with pytest.raises(ParseError):
+        for bad, message in [
+            ("", "unexpected end of tree text"),
+            ("(", "unexpected end of tree text"),
+            ("(.", "unexpected end of tree text"),
+            ("(.)", "unexpected character ')' in tree"),
+            ("x", "unexpected character 'x' in tree"),
+            ("(..", "missing ')' in tree"),
+            ("((..).x", "missing ')' in tree"),
+            ("(..))", "trailing characters ')' after tree"),
+            ("(..).", "trailing characters '.' after tree"),
+        ]:
+            with pytest.raises(ParseError) as exc:
                 parse_tree(bad)
+            assert str(exc.value) == message
 
     def test_enumerate_catalan(self):
         # Catalan numbers 1, 1, 2, 5, 14, 42
@@ -235,7 +247,8 @@ class TestIndices:
         rng = random.Random(11)
         t = comb(5000)
         pairs = [TreePair(t, t), TreePair(t, Tree(tuple(reversed(t.depths))))]
-        for n in (1, 2, 5, 40, 400):
+        pairs.append(parse_pair(str(pairs[1])))  # the parser's own index scan
+        for n in (1, 2, 5, 40, 400, 2000):
             for _ in range(4):
                 pairs.append(parse_pair(str(TreePair(random_tree(n, rng), random_tree(n, rng)))))
         built = []

@@ -64,9 +64,11 @@ class TestVerifySuite:
         assert "SOME CHECKS FAILED" in text
 
     def test_flipped_crossing_convention_is_caught(self, monkeypatch):
-        # rotating the under direction the wrong way must flip every crossing
-        # sign and break the writhe-zero and positivity checks loudly
-        monkeypatch.setattr(linkdiag, "_rotate_cw", lambda d: (-d[1], d[0]))
+        # the opposite crossing convention flips every crossing sign and must
+        # break the positivity check loudly
+        signs = linkdiag.PlanarDiagram.signs.func
+        monkeypatch.setattr(linkdiag.PlanarDiagram, "signs",
+                            property(lambda d: tuple(-s for s in signs(d))))
         report = verify_suite(3)
         by_name = {r.name: r for r in report.results}
         failed = by_name["top-half-crossings-positive"]
