@@ -64,7 +64,7 @@ def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
         pair = parse_pair(args.trees)
         return half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
     if args.partitions is not None:
-        plus, minus = (_trusted(*partition_leaves(text)) for text in args.partitions)
+        plus, minus = (_trusted(partition_leaves(text)) for text in args.partitions)
         return half_grid_from_tree(plus), half_grid_from_tree(minus)
     sp, sm = (parse_permutation(text) for text in args.perms)
     return perm_decode(sp), perm_decode(sm)

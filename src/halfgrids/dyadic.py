@@ -177,8 +177,8 @@ class SdPartition:
         return ",".join(str(b) for b in self.breakpoints)
 
 
-def partition_leaves(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Depth d and index k of each subinterval [k/2^d, (k+1)/2^d] of the
+def partition_leaves(text: str) -> tuple[int, ...]:
+    """Heap id (1 << d) | k of each subinterval [k/2^d, (k+1)/2^d] of the
     partition written as comma-separated breakpoints, in one integer scan.
 
     Checks run in the order of the object route, `parse_dyadic` on every
@@ -208,21 +208,29 @@ def partition_leaves(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             raise ParseError(f"breakpoints not increasing at position {i + 1}")
     if len(points) < 2 or points[0] != 0 or points[-1] != 1 << DEPTH_CAP:
         raise ParseError("partition must run from 0 to 1")
-    depths, indices = [], []
+    ids = []
+    root = 1 << DEPTH_CAP  # id of [0,1] over 2^DEPTH_CAP
     for a, b in zip(points, points[1:]):
         gap = b - a  # standard dyadic when gap is a power of two 2^s dividing a
         if (a | gap) & (gap - 1):
             lo, hi = Dyadic(a, DEPTH_CAP), Dyadic(b, DEPTH_CAP)
             raise ParseError(f"[{lo}, {hi}] is not a standard dyadic interval")
-        s = gap.bit_length() - 1
-        depths.append(DEPTH_CAP - s)
-        indices.append(a >> s)
-    return tuple(depths), tuple(indices)
+        ids.append((root + a) >> (gap.bit_length() - 1))
+    return tuple(ids)
+
+
+def partition_from_leaves(ids) -> SdPartition:
+    """The partition whose subintervals have these heap ids, left to right:
+    id h of bit length d + 1 is [k/2^d, (k+1)/2^d] with k = h - 2^d."""
+    lows = []
+    for h in ids:
+        d = h.bit_length() - 1
+        lows.append(Dyadic(h ^ (1 << d), d))
+    return SdPartition((*lows, ONE))
 
 
 def parse_partition(text: str) -> SdPartition:
-    depths, indices = partition_leaves(text)
-    return SdPartition((*map(Dyadic, indices, depths), ONE))
+    return partition_from_leaves(partition_leaves(text))
 
 
 def midpoint(iv: SdInterval) -> Dyadic:

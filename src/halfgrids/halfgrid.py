@@ -183,9 +183,10 @@ def parse_permutation(text: str) -> Permutation:
 def half_grid_from_tree(t: Tree) -> HalfGrid:
     """The canonical half grid of a tree's partition, from one integer scan.
 
-    An interval [k/2^m, (k+1)/2^m] is its heap id (1 << m) | k: the parent
-    is id >> 1, the sibling id ^ 1, and the sign is '+' when the id has an
-    odd number of 1-bits (k an even number of them).  The spanning
+    An interval [k/2^m, (k+1)/2^m] is its heap id (1 << m) | k, the form
+    in which the tree holds its leaves: the parent is id >> 1, the sibling
+    id ^ 1, and the sign is '+' when the id has an odd number of 1-bits (k
+    an even number of them).  The spanning
     intervals in midpoint order are the in-order walk: each leaf, then the
     caret whose midpoint is the leaf's right end, found by dropping the
     trailing 1-bits of the leaf's id and one more bit.  They fill columns 2
@@ -198,12 +199,12 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
     re-checked.  Trees deeper than DEPTH_CAP are refused, as their
     partitions are.
     """
-    depths = t.depths
-    if max(depths) > DEPTH_CAP:
+    leaves = t.ids
+    if max(leaves).bit_length() - 1 > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    n = len(depths)
+    n = len(leaves)
     ids = [0] * (2 * n + 1)  # per column; ids[0] is unused
-    ids[2::2] = leaves = [(1 << d) | k for d, k in zip(depths, t.indices)]
+    ids[2::2] = leaves
     # the last leaf's id is all 1-bits: no caret follows it
     ids[3::2] = [h >> (h ^ (h + 1)).bit_length() for h in leaves[:-1]]
     by_id = sorted(range(1, 2 * n + 1), key=ids.__getitem__)

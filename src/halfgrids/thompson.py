@@ -5,190 +5,189 @@ homeomorphism of [0,1] sending the top partition's breakpoints to the
 bottom's, linearly in between.  Pairs coming out of the group operations
 are always reduced.
 
-A tree is the tuple of its leaf depths, left to right: a leaf of depth d
-and index k is the standard dyadic interval [k/2^d, (k+1)/2^d].  A tree
-keeps the leaf indices found by the scan that validated or built it, so no
-later operation scans its depths for them again.  Every operation is one
-linear scan over these tuples without recursion, so trees of any depth
-work; only breakpoints, half grids and map values meet DEPTH_CAP.
+A tree is the tuple of its leaves' heap ids, left to right: the leaf of
+depth d and index k, the standard dyadic interval [k/2^d, (k+1)/2^d], has
+id (1 << d) | k.  The root [0,1] is 1, the children of h are 2h and 2h + 1,
+its parent is h >> 1 and its sibling h ^ 1.  One int per leaf is all the
+tree algebra reads and writes: parsing, formatting, leaf signs, products,
+inverses, reduction and the map are each one linear scan over the ids
+without recursion, so trees of any depth work; only breakpoints, half grids
+and map values meet DEPTH_CAP.  Depths and indices are read off the ids
+when a caller asks for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import xor
 
 from .dyadic import (
-    DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, sign, spanning_intervals,
+    DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, partition_from_leaves, sign,
+    spanning_intervals,
 )
 from .errors import DepthExceeded, ParseError
 
 
-def _indices(depths) -> tuple[int, ...]:
-    """Index k of each leaf at its own depth d, as an exact int: the leaf is
-    [k/2^d, (k+1)/2^d].  Raises ValueError unless these intervals tile
-    [0,1] left to right, that is, unless the depths are a binary tree's."""
+def _ids(depths: tuple[int, ...]) -> tuple[int, ...]:
+    """Heap id of each leaf, from its depth: a leaf starts where the last
+    one ended, at id + 1 of the last leaf, moved down or up to its own
+    depth.  Raises ValueError unless these intervals tile [0,1] left to
+    right, that is, unless the depths are a binary tree's."""
     if not depths or min(depths) < 0:
         raise ValueError("not the leaf depths of a binary tree")
     out = []
-    k = prev = 0  # k/2^prev is the left end of the next leaf
+    start = 1  # id of the interval where the next leaf starts, at the last leaf's depth
     for d in depths:
-        if d >= prev:
-            k <<= d - prev
-        elif k & ((1 << (prev - d)) - 1):
+        e = start.bit_length() - 1
+        if d >= e:
+            h = start << (d - e)
+        elif start & ((1 << (e - d)) - 1):
             raise ValueError("not the leaf depths of a binary tree")
         else:
-            k >>= prev - d
-        out.append(k)
-        k += 1
-        prev = d
-    if k != 1 << prev:
+            h = start >> (e - d)
+        out.append(h)
+        start = h + 1
+        if not start & h:  # h is all 1-bits: its right end is 1
+            break
+    if start & h or len(out) < len(depths):
         raise ValueError("not the leaf depths of a binary tree")
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, repr=False)
 class Tree:
-    """A full binary tree, given by the depths of its leaves left to right.
+    """A full binary tree, built from the depths of its leaves left to right.
 
-    Equality, hashing and repr use the depths alone; `indices`, the leaf
-    indices `_indices` finds for them, is set when the tree is built."""
+    It holds one int per leaf, its heap id; `depths` and `indices` are read
+    off the ids when asked for.  Ids and depths determine each other, so
+    equality and hashing use the ids, and repr shows the depths."""
 
-    depths: tuple[int, ...]
+    __slots__ = ("ids",)
+    ids: tuple[int, ...]
 
-    def __post_init__(self):
-        depths = tuple(self.depths)
-        object.__setattr__(self, "depths", depths)
-        object.__setattr__(self, "indices", _indices(depths))
+    def __init__(self, depths):
+        object.__setattr__(self, "ids", _ids(tuple(depths)))
+
+    @property
+    def depths(self) -> tuple[int, ...]:
+        return tuple(h.bit_length() - 1 for h in self.ids)
+
+    @property
+    def indices(self) -> tuple[int, ...]:
+        return tuple(h ^ (1 << (h.bit_length() - 1)) for h in self.ids)
+
+    def __repr__(self) -> str:
+        return f"Tree(depths={self.depths!r})"
 
     def __str__(self) -> str:
         return format_tree(self)
 
 
-def _trusted(depths: tuple[int, ...], indices: tuple[int, ...]) -> Tree:
-    """A Tree from depths and indices the tree algebra built out of valid
-    trees, read by `parse_tree` from a text its grammar accepted, or read
-    by `dyadic.partition_leaves` from a checked partition; skips the
-    `_indices` re-check that user-built trees go through."""
+def _trusted(ids: tuple[int, ...]) -> Tree:
+    """A Tree from leaf ids the tree algebra built out of valid trees, read
+    by `parse_tree` from a text its grammar accepted, or read by
+    `dyadic.partition_leaves` from a checked partition; skips the check
+    that trees built from depths go through."""
     t = object.__new__(Tree)
-    object.__setattr__(t, "depths", depths)
-    object.__setattr__(t, "indices", indices)
+    object.__setattr__(t, "ids", ids)
     return t
 
 
-LEAF = Tree((0,))
+LEAF = _trusted((1,))
+
+
+def _join(left: tuple[int, ...], right: tuple[int, ...]) -> tuple[int, ...]:
+    """Leaf ids of the tree with subtrees left and right: below the leading
+    1-bit of each id goes a 0 (left) or a 1 (right), the step from the root."""
+    return (
+        tuple(h ^ (3 << (h.bit_length() - 1)) for h in left)
+        + tuple(h | (2 << (h.bit_length() - 1)) for h in right)
+    )
 
 
 def node(left: Tree, right: Tree) -> Tree:
-    return Tree(tuple(d + 1 for d in left.depths + right.depths))
+    return _trusted(_join(left.ids, right.ids))
 
 
 def format_tree(t: Tree) -> str:
     parts = []
     open_ = 0
-    # c: how many subtrees end at the leaf, its run of right-child steps
-    # upward, the number of trailing 1-bits of its index
-    for d, k in zip(t.depths, t.indices):
-        c = (k ^ (k + 1)).bit_length() - 1
+    for h in t.ids:
+        d = h.bit_length() - 1
+        # c: how many subtrees end at the leaf, its run of right-child steps
+        # upward, the trailing 1-bits of its id below the leading one
+        c = min((h ^ (h + 1)).bit_length() - 1, d)
         parts.append("(" * (d - open_) + "." + ")" * c)
         open_ = d - c
     return "".join(parts)
 
 
 def parse_tree(text: str) -> Tree:
-    """The tree a text of '(', '.' and ')' spells.  The scan tracks the
-    index k of the current node at its depth, so it finds the leaf indices
-    too: a '(' steps to the left child (k <<= 1), a right child is its left
-    sibling's k + 1, and a ')' steps back to the parent (k >>= 1).  The
-    grammar admits only full binary trees, so the tree is not re-checked."""
-    depths: list[int] = []
-    indices: list[int] = []
-    filled: list[bool] = []  # per open '(': has its left child been read?
-    k = 0
-    pos, end = 0, len(text)
-    while True:  # read one subtree starting at pos
-        if pos == end:
-            raise ParseError("unexpected end of tree text")
-        ch = text[pos]
-        pos += 1
-        if ch == "(":
-            filled.append(False)
-            k <<= 1
-            continue
-        if ch != ".":
-            raise ParseError(f"unexpected character {ch!r} in tree")
-        depths.append(len(filled))
-        indices.append(k)
-        while filled and filled[-1]:  # a right child ends its parent
-            if pos == end or text[pos] != ")":
+    """The tree a text of '(', '.' and ')' spells, read as a walk of heap
+    ids from the root, 1.  A '(' steps to the left child (h <<= 1) and a
+    '.' is the leaf h.  A leaf that is a right child (h odd) ends its
+    parent, which a ')' closes (h >>= 1), until h is a left child, whose
+    right sibling h + 1 comes next.  The leaf whose id is all 1-bits is the
+    last: it closes every open node, one ')' per level of its depth d, and
+    a full tree of n leaves is 3n - 2 characters, so the final run of ')'
+    starts at 3n - 2 - d.  The grammar admits only full binary trees, so
+    the tree is not re-checked."""
+    ids = []
+    h = 1
+    close = 0  # how many ')' must come before the next node
+    for ch in text:
+        if close:
+            if ch != ")":
                 raise ParseError("missing ')' in tree")
-            pos += 1
-            filled.pop()
-            k >>= 1
-        if not filled:
-            break
-        filled[-1] = True
-        k += 1
-    if pos < end:
-        raise ParseError(f"trailing characters {text[pos:]!r} after tree")
-    return _trusted(tuple(depths), tuple(indices))
+            close -= 1
+        elif ch == "(":
+            h <<= 1
+        elif ch == ".":
+            ids.append(h)
+            q = h + 1
+            if not q & h:  # the last leaf
+                break
+            close = (h ^ q).bit_length() - 1  # the trailing 1-bits of h
+            h = q >> close
+        else:
+            raise ParseError(f"unexpected character {ch!r} in tree")
+    else:
+        raise ParseError("missing ')' in tree" if close else "unexpected end of tree text")
+    d = h.bit_length() - 1
+    pos = 3 * len(ids) - 2 - d
+    if text.count(")", pos, pos + d) < d:
+        raise ParseError("missing ')' in tree")
+    if pos + d < len(text):
+        raise ParseError(f"trailing characters {text[pos + d:]!r} after tree")
+    return _trusted(tuple(ids))
 
 
 def tree_from_partition(p: SdPartition) -> Tree:
-    """Each subinterval of p is a leaf; its length 1/2^d gives the depth."""
+    """Each subinterval [a, b] of p is a leaf; its length 1/2^d gives the
+    depth and a gives the index.  p is checked, so the ids are a tree's."""
     bps = p.breakpoints
-    depths = []
+    ids = []
     for a, b in zip(bps, bps[1:]):
         e = max(a.exp, b.exp)
         gap = (b.num << (e - b.exp)) - (a.num << (e - a.exp))  # 2^(e - d)
-        depths.append(e + 1 - gap.bit_length())
-    return Tree(tuple(depths))
+        d = e + 1 - gap.bit_length()
+        ids.append((1 << d) | a.num << (d - a.exp))
+    return _trusted(tuple(ids))
 
 
 def partition_from_tree(t: Tree) -> SdPartition:
-    if max(t.depths) > DEPTH_CAP:
+    if max(t.ids).bit_length() - 1 > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    lows = (Dyadic(k, d) for k, d in zip(t.indices, t.depths))
-    return SdPartition((*lows, ONE))
+    return partition_from_leaves(t.ids)
 
 
 def leaf_signs(t: Tree) -> tuple[str, ...]:
     """Sign per leaf, left to right: root +, left child inherits, right flips.
 
-    That is '-' when the leaf's index has an odd number of 1-bits: each
-    1-bit of the index is a right-child step on the leaf's path."""
-    return tuple("-" if k.bit_count() & 1 else "+" for k in t.indices)
-
-
-def _align(a: tuple[int, ...], b: tuple[int, ...]) -> list[tuple[int, int, int]]:
-    """Leaves of the least common refinement of two trees, as (depth, index
-    of the leaf of a that holds it, index of the leaf of b that holds it).
-
-    Walks both leaf sequences together; where one leaf is coarser it is
-    split on a stack of pending pieces, smallest (leftmost) on top."""
-    out = []
-    i = j = 0
-    pend_a: list[int] = []
-    pend_b: list[int] = []
-    x, y = a[0], b[0]
-    while True:
-        if x < y:
-            pend_a.extend(range(x + 1, y + 1))
-        elif y < x:
-            pend_b.extend(range(y + 1, x + 1))
-        out.append((max(x, y), i, j))
-        if pend_a:
-            x = pend_a.pop()
-        else:
-            i += 1
-            if i == len(a):
-                return out
-            x = a[i]
-        if pend_b:
-            y = pend_b.pop()
-        else:
-            j += 1
-            y = b[j]
+    That is '-' when the leaf's id has an even number of 1-bits: each
+    1-bit below the leading one is a right-child step on the leaf's path."""
+    return tuple("+" if h.bit_count() & 1 else "-" for h in t.ids)
 
 
 @dataclass(frozen=True)
@@ -200,12 +199,12 @@ class TreePair:
     reduced: bool = field(default=False, compare=False)  # known reduced; not part of equality
 
     def __post_init__(self):
-        if len(self.top.depths) != len(self.bottom.depths):
+        if len(self.top.ids) != len(self.bottom.ids):
             raise ValueError("tree pair needs equal leaf counts")
 
     @property
     def n(self) -> int:
-        return len(self.top.depths)
+        return len(self.top.ids)
 
     def __str__(self) -> str:
         return f"{format_tree(self.top)}|{format_tree(self.bottom)}"
@@ -221,62 +220,110 @@ def parse_pair(text: str) -> TreePair:
     return TreePair(parse_tree(top_text), parse_tree(bottom_text))
 
 
-def reduce_pair(g: TreePair) -> TreePair:
-    """Remove common carets in one stack scan; the result is unique.
+def _reduce(leaves) -> TreePair:
+    """The reduced pair of the (top id, bottom id) leaf pairs, left to
+    right, in one stack scan.  Each stack entry is a subtree in both trees,
+    as its pair of ids.  A new entry and the top one merge into their
+    parents while they are right and left siblings in both trees; the
+    result is the unique reduced pair."""
+    stack = [(-1, -1)]  # sentinel: no id is a sibling of -1
+    for t, u in leaves:
+        while t & u & 1 and stack[-1] == (t ^ 1, u ^ 1):
+            del stack[-1]
+            t >>= 1
+            u >>= 1
+        stack.append((t, u))
+    tops, bottoms = zip(*stack[1:])
+    return TreePair(_trusted(tops), _trusted(bottoms), reduced=True)
 
-    Leaves i, i+1 form a caret when their depths are equal and the left
-    index is even.  Each stack entry is a subtree in both trees; the top two
-    merge while they form a caret in both."""
+
+def reduce_pair(g: TreePair) -> TreePair:
+    """Remove common carets in one stack scan; the result is unique."""
     if g.reduced:
         return g
-    top, bottom = g.top, g.bottom
-    stack: list[tuple[int, int, int, int]] = []
-    for dt, kt, db, kb in zip(top.depths, top.indices, bottom.depths, bottom.indices):
-        while stack:
-            pt, pkt, pb, pkb = stack[-1]
-            if pt != dt or pb != db or (pkt | pkb) & 1:
-                break
-            stack.pop()
-            dt, kt, db, kb = dt - 1, pkt >> 1, db - 1, pkb >> 1
-        stack.append((dt, kt, db, kb))
-    tops, kts, bottoms, kbs = zip(*stack)
-    return TreePair(_trusted(tops, kts), _trusted(bottoms, kbs), reduced=True)
+    return _reduce(zip(g.top.ids, g.bottom.ids))
 
 
 def inverse(g: TreePair) -> TreePair:
     return TreePair(g.bottom, g.top, reduced=g.reduced)
 
 
-def multiply(g: TreePair, h: TreePair) -> TreePair:
-    """Composition: apply g first, then h.  Result is reduced.
+def _product_leaves(g: TreePair, h: TreePair):
+    """The leaves of g·h, unreduced, as (top id, bottom id) pairs: one walk
+    over the pieces of the least common refinement of g's bottom and h's
+    top.  Where the two middle trees share a leaf, that leaf is the piece.
 
-    Over the union of g's bottom and h's top, a leaf d levels below leaf i
-    of g's bottom sits d levels below leaf i of g's top too (likewise for h)."""
-    gt, gb, ht, hb = g.top.depths, g.bottom.depths, h.top.depths, h.bottom.depths
-    top, bottom = [], []
-    for d, i, j in _align(gb, ht):
-        top.append(gt[i] + d - gb[i])
-        bottom.append(hb[j] + d - ht[j])
-    return reduce_pair(TreePair(Tree(top), Tree(bottom)))
+    Elsewhere the current pieces x and y of the two sides start at the
+    same point, so the piece is the deeper one, the larger id p.  If p lies
+    s levels below its leaf of g's bottom, its image in g's top is p with
+    that leaf's bits swapped for those of the matching top leaf a,
+    p ^ (gx << s) with gx the XOR of the two leaves; likewise in h's
+    bottom.  p + 1 ends in tz zeros where p ends in tz 1-bits: when
+    s <= tz, p ends where its leaf does and the side moves to its next
+    leaf, else to its next piece (p + 1) >> tz, the right sibling of p's
+    lowest left-child ancestor.  Where both sides end together, the walk
+    goes back to comparing leaves."""
+    g_bottom, h_top = g.bottom.ids, h.top.ids
+    g_leaves = zip(g_bottom, g.top.ids, map(int.bit_length, g_bottom))
+    h_leaves = zip(h_top, h.bottom.ids, map(int.bit_length, h_top))
+    for (x, a, gl), (y, b, hl) in zip(g_leaves, h_leaves):
+        if x == y:
+            yield a, b
+            continue
+        gx, hy = a ^ x, b ^ y  # the bits to swap for the leaves of x and y
+        xl, yl = gl, hl  # bit lengths of the pieces x and y; gl, hl of their leaves
+        while True:
+            if xl >= yl:
+                p, pl = x, xl
+            else:
+                p, pl = y, yl
+            gs, hs = pl - gl, pl - hl
+            yield p ^ (gx << gs), p ^ (hy << hs)
+            q = p + 1
+            tz = (p ^ q).bit_length() - 1
+            if gs <= tz:
+                if hs <= tz:
+                    break
+                x, a, gl = next(g_leaves)
+                gx, xl = a ^ x, gl
+                y, yl = q >> tz, pl - tz
+            elif hs <= tz:
+                y, b, hl = next(h_leaves)
+                hy, yl = b ^ y, hl
+                x, xl = q >> tz, pl - tz
+            else:
+                x = y = q >> tz
+                xl = yl = pl - tz
+
+
+def multiply(g: TreePair, h: TreePair) -> TreePair:
+    """Composition: apply g first, then h.  Result is reduced: the leaves
+    of the product go straight into the stack scan of `reduce_pair`."""
+    return _reduce(_product_leaves(g, h))
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
     """Exact image of x under the PL map of g."""
     if not ZERO <= x <= ONE:
         raise ValueError("argument outside [0,1]")
-    top, bottom = g.top.depths, g.bottom.depths
-    if max(top) > DEPTH_CAP or max(bottom) > DEPTH_CAP:
+    top, bottom = g.top.ids, g.bottom.ids
+    if max(max(top), max(bottom)).bit_length() - 1 > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    num, e = x.num, x.exp
-    for ka, da, kb, db in zip(g.top.indices, top, g.bottom.indices, bottom):
-        if num << da <= (ka + 1) << e:  # first top leaf whose right end is >= x
-            # kb/2^db + (x - ka/2^da) * 2^(da - db)
-            return Dyadic(((kb - ka) << e) + (num << da), db + e)
+    e = x.exp
+    hx = x.num + (1 << e)  # x + 1 is hx/2^e, as a leaf's left end + 1 is h/2^d
+    e1 = e + 1
+    for a, la, b in zip(top, map(int.bit_length, top), bottom):
+        if hx << la <= (a + 1) << e1:  # first top leaf whose right end is >= x
+            # b/2^db + (x + 1 - a/2^da) * 2^(da - db) - 1, with da = la - 1
+            db = b.bit_length() - 1
+            return Dyadic(((b - a) << e) + (hx << (la - 1)) - (1 << (db + e)), db + e)
     raise AssertionError("unreachable: the leaves cover [0,1]")
 
 
 def is_oriented(g: TreePair) -> bool:
-    """Top and bottom induce the same leaf signs.
+    """Top and bottom induce the same leaf signs: each top leaf's id and
+    the bottom one's have 1-bit counts of the same parity, an even count
+    in their XOR.
 
     Any pair for g may be tested, reduced or not.  Adding a common caret at
     leaf i splits a top leaf of sign s into leaves of signs s, -s and the
@@ -284,7 +331,7 @@ def is_oriented(g: TreePair) -> bool:
     was; so the two sign sequences agree after the expansion exactly when
     they agreed before, and every pair for g agrees as its reduced form
     does."""
-    return leaf_signs(g.top) == leaf_signs(g.bottom)
+    return not any(c & 1 for c in map(int.bit_count, map(xor, g.top.ids, g.bottom.ids)))
 
 
 def is_oriented_via_points(g: TreePair) -> bool:
@@ -303,12 +350,12 @@ def enumerate_trees(n: int) -> tuple[Tree, ...]:
     left subtree's size, then left subtree, then right subtree."""
     if n < 1:
         raise ValueError("need at least one leaf")
-    by_size: list[list[tuple[int, ...]]] = [[], [(0,)]]
+    by_size: list[list[tuple[int, ...]]] = [[], [(1,)]]
     for size in range(2, n + 1):
         by_size.append([
-            tuple(d + 1 for d in left + right)
+            _join(left, right)
             for i in range(1, size)
             for left in by_size[i]
             for right in by_size[size - i]
         ])
-    return tuple(Tree(d) for d in by_size[n])
+    return tuple(map(_trusted, by_size[n]))

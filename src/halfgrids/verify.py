@@ -173,7 +173,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
 
 def _check_tree(checks, t: Tree) -> HalfGrid:
     """Records the per-tree checks of t; returns its half grid."""
-    n = len(t.depths)
+    n = len(t.ids)
     where = lambda: f"tree {t}"  # noqa: E731
     p = partition_from_tree(t)
     spanning = spanning_intervals(p)

@@ -226,7 +226,7 @@ def _object_route(text):
         t = tree_from_partition(SdPartition(tuple(points)))
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return t.depths, t.indices
+    return t.ids
 
 
 def _outcome(read, text):
@@ -288,6 +288,6 @@ class TestPartitionLeaves:
         assert _outcome(partition_leaves, text) == _outcome(_object_route, text)
 
     def test_leaves(self):
-        assert partition_leaves("0,1/4,1/2,1") == ((2, 2, 1), (0, 1, 1))
-        assert partition_leaves(" 0/8 , 2/8,2/4 , 2/2") == ((2, 2, 1), (0, 1, 1))
-        assert partition_leaves("0,1") == ((0,), (0,))
+        assert partition_leaves("0,1/4,1/2,1") == (0b100, 0b101, 0b11)
+        assert partition_leaves(" 0/8 , 2/8,2/4 , 2/2") == (0b100, 0b101, 0b11)
+        assert partition_leaves("0,1") == (1,)

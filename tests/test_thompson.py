@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,6 @@ from halfgrids.thompson import (
     LEAF,
     Tree,
     TreePair,
-    _indices,
     _trusted,
     apply_map,
     enumerate_trees,
@@ -29,7 +29,19 @@ from halfgrids.thompson import (
     tree_from_partition,
 )
 
-from _trees import NotARefinement, grafts_between, random_tree, refine_to, tree_union
+from _trees import (
+    NotARefinement,
+    graft,
+    grafts_between,
+    oracle_ids,
+    oracle_indices,
+    oracle_multiply,
+    oracle_parse_tree,
+    oracle_reduce,
+    random_tree,
+    refine_to,
+    tree_union,
+)
 
 CARET = node(LEAF, LEAF)
 
@@ -241,7 +253,9 @@ def comb(depth):
 
 
 class TestIndices:
-    """A tree keeps the leaf indices of the scan that validated or built it."""
+    """A tree's leaf indices, read off the heap ids that the parser, the
+    validating constructor or the algebra built, are those the depth scan
+    of `oracle_indices` finds."""
 
     def test_every_builder_keeps_the_scans_indices(self):
         rng = random.Random(11)
@@ -258,11 +272,11 @@ class TestIndices:
         for p in built:
             for tree in (p.top, p.bottom):
                 assert type(tree.indices) is tuple
-                assert tree.indices == _indices(tree.depths)
+                assert tree.indices == oracle_indices(tree.depths)
 
     def test_equality_hash_and_repr_use_depths_alone(self):
         for d in [(0,), (1, 1), (2, 2, 1), (1, 2, 2), (2, 2, 2, 2)]:
-            validated, trusted = Tree(d), _trusted(d, _indices(d))
+            validated, trusted = Tree(d), _trusted(oracle_ids(d))
             assert validated == trusted and hash(validated) == hash(trusted)
             assert trusted.indices == validated.indices
             assert validated == trusted and hash(validated) == hash(trusted)
@@ -325,3 +339,93 @@ class TestDepth:
         assert apply_map(x0, Dyadic(1, DEPTH_CAP - 1)) == Dyadic(1, DEPTH_CAP)
         with pytest.raises(DepthExceeded):
             apply_map(x0, Dyadic(1, DEPTH_CAP))
+
+
+def _same_pair(got: TreePair, want: TreePair) -> None:
+    """Equal trees with the ids the depth scan finds, both marked reduced."""
+    assert got == want and str(got) == str(want) and got.reduced and want.reduced
+    for tree in (got.top, got.bottom):
+        assert tree.ids == oracle_ids(tree.depths)
+
+
+class TestHeapIdOracles:
+    """The heap-id scans against the depth routes they replaced, kept as
+    oracles in `_trees`: the same pairs, trees and messages."""
+
+    def test_multiply_and_reduce_on_random_pairs(self):
+        rng = random.Random(17)
+        for n in (1, 2, 3, 5, 8, 20, 50, 120, 250, 400):
+            for _ in range(6):
+                g = TreePair(random_tree(n, rng), random_tree(n, rng))
+                h = TreePair(random_tree(n, rng), random_tree(n, rng))
+                _same_pair(multiply(g, h), oracle_multiply(g, h))
+                _same_pair(multiply(h, g), oracle_multiply(h, g))
+                _same_pair(reduce_pair(g), oracle_reduce(g))
+
+    def test_multiply_by_refined_and_shared_middles(self):
+        """Products whose middle trees share some leaves and refine others."""
+        rng = random.Random(18)
+        for n in (2, 5, 30, 200):
+            for _ in range(6):
+                g = TreePair(random_tree(n, rng), random_tree(n, rng))
+                k = random_tree(rng.randint(1, 4), rng)
+                middle = tree_union(g.bottom, graft(k, [random_tree(rng.randint(1, n), rng)
+                                                       for _ in k.depths]))
+                h = TreePair(middle, random_tree(len(middle.depths), rng))
+                _same_pair(multiply(g, h), oracle_multiply(g, h))
+                _same_pair(multiply(inverse(h), inverse(g)), oracle_multiply(inverse(h), inverse(g)))
+
+    def test_product_with_inverse(self):
+        rng = random.Random(19)
+        for n in (1, 2, 7, 60, 400):
+            for _ in range(4):
+                g = TreePair(random_tree(n, rng), random_tree(n, rng))
+                for a, b in ((g, inverse(g)), (inverse(g), g)):
+                    got = multiply(a, b)
+                    _same_pair(got, oracle_multiply(a, b))
+                    assert got == IDENTITY
+
+    def test_comb_past_depth_cap(self):
+        t = comb(5000)
+        flipped = Tree(tuple(reversed(t.depths)))
+        g = TreePair(t, flipped)
+        for a, b in ((g, g), (g, inverse(g)), (inverse(g), g), (TreePair(t, t), g)):
+            _same_pair(multiply(a, b), oracle_multiply(a, b))
+        _same_pair(reduce_pair(g), oracle_reduce(g))
+        assert parse_tree(str(flipped)) == oracle_parse_tree(str(flipped)) == flipped
+
+    def test_validating_constructor(self):
+        """Tree(depths) accepts exactly the depth tuples the depth scan
+        accepts, with the ids it finds, over every tuple of up to 7 depths
+        from -1 to 4."""
+        accepted = 0
+        for length in range(8):
+            for depths in itertools.product(range(-1, 5), repeat=length):
+                try:
+                    want = oracle_ids(depths)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not the leaf depths of a binary tree"):
+                        Tree(depths)
+                    continue
+                assert Tree(depths).ids == want
+                accepted += 1
+        assert accepted == 1 + 1 + 2 + 5 + 14 + 26 + 44  # the trees of 1 to 7 leaves at most 4 deep
+
+    def test_every_short_text_parses_as_the_oracle(self):
+        """Every string over '(', '.', ')' and 'x' up to length 10: the same
+        tree with the same ids, or a ParseError with the same message."""
+
+        def outcome(parse, text):
+            try:
+                return parse(text).ids
+            except ParseError as exc:
+                return str(exc)
+
+        trees = 0
+        for length in range(11):
+            for chars in itertools.product("(.)x", repeat=length):
+                text = "".join(chars)
+                got = outcome(parse_tree, text)
+                assert got == outcome(oracle_parse_tree, text), text
+                trees += type(got) is tuple
+        assert trees == 1 + 1 + 2 + 5  # Catalan: 1, 2, 3 and 4 leaves fit in 10 characters

@@ -5,7 +5,7 @@ recurses over that structure: reduction finds the carets of both trees and
 removes the leftmost common one until none is left, multiplication refines
 both pairs over the union tree by grafting, and a partition comes from a
 walk that halves intervals.  Production `halfgrids.thompson` works on leaf
-depth tuples in linear scans; Hypothesis compares the two through the tree
+heap ids in linear scans; Hypothesis compares the two through the tree
 text, on random pairs of up to 40 leaves, on pairs that reduce heavily and
 on pairs whose trees have the same leaf signs.
 """
@@ -22,7 +22,6 @@ from halfgrids.errors import DepthExceeded
 from halfgrids.thompson import (
     IDENTITY,
     Tree,
-    _indices,
     apply_map,
     inverse,
     is_oriented,
@@ -34,7 +33,7 @@ from halfgrids.thompson import (
     reduce_pair,
 )
 
-from _trees import NotARefinement, graft, grafts_between, refine_to, tree_union
+from _trees import NotARefinement, graft, grafts_between, oracle_indices, refine_to, tree_union
 
 # --- nested trees and their text -------------------------------------------
 
@@ -303,7 +302,7 @@ def test_trees_the_algebra_builds_are_valid(g, h):
     pairs = [multiply(g, h), multiply(h, g), reduce_pair(g), inverse(g), inverse(reduce_pair(h))]
     for t in (t for p in pairs for t in (p.top, p.bottom)):
         assert type(t.depths) is tuple
-        assert t.indices == _indices(t.depths)
+        assert t.indices == oracle_indices(t.depths)
         assert Tree(t.depths) == t
 
 
