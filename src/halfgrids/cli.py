@@ -1,12 +1,14 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 domain error (incompatible pair, bad permutation,
-...), 2 malformed input, 3 verification failure.
+..., or a stdout closed before the output was written), 2 malformed input,
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 
@@ -144,21 +146,33 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_group(args) -> int:
+    """Every check runs before the first line is written, so an error
+    leaves stdout empty; then each relator line is written as it is made."""
+    prefix, sep = ("F.", "*") if args.gap else ("x", " ")
     if args.grid is not None:
         g = _grid(args)
-        pres, edges = linkgroup.grid_presentation(g), linkgroup.grid_relation_edges(g)
+        count, edges = g.size, linkgroup.grid_relation_edges(g)
+        lines = linkgroup.grid_relator_lines(g, prefix, sep)
     else:
         sigmas = [perm_encode(h) for h in _half_grids(args)]
-        pres = linkgroup.half_grid_presentation(*sigmas)
-        edges = linkgroup.half_grid_relation_edges(*sigmas)
+        count, edges = sigmas[0].degree, linkgroup.half_grid_relation_edges(*sigmas)
+        lines = linkgroup.half_grid_relator_lines(*sigmas, prefix, sep)
+    write = sys.stdout.write
     if args.gap:
-        sys.stdout.write(linkgroup.format_presentation_gap(pres))
-    else:
-        print(linkgroup.format_presentation(pres))
-        # the relators' differences form a signed graph; no matrix is built
-        free_rank, torsion = linkgroup.signed_graph_abelianization(pres.generator_count, edges)
-        torsion_text = ",".join(map(str, torsion)) or "none"
-        print(f"abelianization: free rank {free_rank}, torsion {torsion_text}")
+        write(f"F := FreeGroup({count});;\nG := F / [ ")
+        lead = ""
+        for line in lines:
+            write(lead + (line or "One(F)"))
+            lead = ", "
+        write(" ];\n")
+        return 0
+    write(f"gens={count}\n")
+    for line in lines:
+        write(f"rel: {line}\n")
+    # the relators' differences form a signed graph; no matrix is built
+    free_rank, torsion = linkgroup.signed_graph_abelianization(count, edges)
+    torsion_text = ",".join(map(str, torsion)) or "none"
+    write(f"abelianization: free rank {free_rank}, torsion {torsion_text}\n")
     return 0
 
 
@@ -239,12 +253,22 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (HalfGridError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # what is left in the buffer goes to devnull, so the flush at exit
+        # cannot raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the output was written", file=sys.stderr)
         return 1
 
 

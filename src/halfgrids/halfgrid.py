@@ -171,6 +171,14 @@ class Permutation:
         return " ".join(str(v) for v in self.images)
 
 
+def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
+    """A Permutation whose images are known to be a bijection on 1..k;
+    skips the sort that permutations built by hand go through."""
+    sigma = object.__new__(Permutation)
+    object.__setattr__(sigma, "images", images)
+    return sigma
+
+
 def parse_permutation(text: str) -> Permutation:
     try:
         if not _PERMUTATION.fullmatch(text):
@@ -285,12 +293,13 @@ def assemble_unoriented(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
 
 
 def perm_encode(h: HalfGrid) -> Permutation:
-    """sigma = (X(1), O(1), X(2), O(2), ..., X(n), O(n)), bottom row first."""
-    images: list[int] = []
-    for x, o in zip(h.x_cols, h.o_cols):
-        images.append(x)
-        images.append(o)
-    return Permutation(tuple(images))
+    """sigma = (X(1), O(1), X(2), O(2), ..., X(n), O(n)), bottom row first.
+    A half grid's columns are a bijection on 1..2n, checked when it was
+    built or valid by construction, so sigma needs no re-check."""
+    images = [0] * (2 * h.n)
+    images[0::2] = h.x_cols
+    images[1::2] = h.o_cols
+    return _trusted_permutation(tuple(images))
 
 
 def perm_decode(sigma: Permutation) -> HalfGrid:

@@ -9,13 +9,19 @@ Subtracting each relator of a grid or half grid presentation from the next
 leaves relations x_a + s*x_b with s = +1 or -1, so their abelianization is
 that of a signed graph on the generators (`signed_graph_abelianization`).
 General presentations go through the Smith normal form (`abelianization`).
+
+The CLI spells relators without building them: `half_grid_relator_lines`
+and `grid_relator_lines` edit each line out of the one before, so a
+presentation of Theta(n^2) letters is written in O(n) memory.  The relator
+tuples (`half_grid_presentation`, `grid_presentation`) and their spelling
+(`format_presentation`, `format_presentation_gap`) are their test oracle.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -128,6 +134,61 @@ def _half_grid_rows(sigma_plus: Permutation, sigma_minus: Permutation) -> int:
     return sigma_plus.degree // 2
 
 
+def half_grid_relator_lines(
+    sigma_plus: Permutation, sigma_minus: Permutation, prefix: str = "x", sep: str = " "
+) -> Iterator[str]:
+    """The relators of `half_grid_presentation`, each spelled as its
+    generators' names prefix + x joined by sep, made one at a time as they
+    are read.  The degrees are checked at the call, before any line.
+
+    Relator i of sigma is relator i-1 with the names x_{sigma(2i-1)} and
+    x_{sigma(2i)} deleted.  The line is kept padded with sep at both ends,
+    so that sep + name + sep matches one whole name."""
+    n = _half_grid_rows(sigma_plus, sigma_minus)
+    return _deletion_sweep(n, (sigma_plus.images, sigma_minus.images), prefix, sep)
+
+
+def _deletion_sweep(
+    n: int, sigmas: tuple[tuple[int, ...], ...], prefix: str, sep: str
+) -> Iterator[str]:
+    names = [f"{prefix}{x}" for x in range(1, 2 * n + 1)]
+    keys = ["", *(f"{sep}{name}{sep}" for name in names)]
+    full = f"{sep}{sep.join(names)}{sep}"
+    w = len(sep)
+    yield full[w:-w]
+    for images in sigmas:
+        line = full
+        for i in range(0, 2 * n - 2, 2):
+            line = line.replace(keys[images[i]], sep, 1).replace(keys[images[i + 1]], sep, 1)
+            yield line[w:-w]
+
+
+def grid_relator_lines(g: GridDiagram, prefix: str = "x", sep: str = " ") -> Iterator[str]:
+    """The relators of `grid_presentation`, spelled and padded as in
+    `half_grid_relator_lines`.  A column whose span starts at row j goes in
+    before the name of the next active column, or at the end if none
+    follows; a column whose span ends there is deleted."""
+    active: list[int] = []
+    started = bytearray(g.size + 1)
+    line = sep
+    w = len(sep)
+    for x, o in zip(g.x_cols[:-1], g.o_cols[:-1]):  # row m only closes columns
+        for c in (x, o):
+            i = bisect_left(active, c)
+            if started[c]:
+                del active[i]
+                line = line.replace(f"{sep}{prefix}{c}{sep}", sep, 1)
+                continue
+            started[c] = 1
+            if i < len(active):
+                after = f"{prefix}{active[i]}{sep}"
+                line = line.replace(sep + after, f"{sep}{prefix}{c}{sep}{after}", 1)
+            else:
+                line += f"{prefix}{c}{sep}"
+            active.insert(i, c)
+        yield line[w:-w]
+
+
 def relation_matrix(p: GroupPresentation) -> list[list[int]]:
     """Exponent-sum matrix, one row per relator."""
     rows = []
@@ -208,39 +269,42 @@ def signed_graph_abelianization(
     Union-find with a parity bit: x_v = (-1)^parity[v] * x_parent[v].  A
     component whose edges all agree with the parities is balanced and gives
     one Z; an edge that disagrees closes an odd cycle, 2*x_root = 0, and the
-    component gives Z/2.  About O(E alpha(V)) steps.
+    component gives Z/2.  Union by size, and each walk to a root halves its
+    path (every other vertex on it is hung on its grandparent), which keeps
+    the bound at about O(E alpha(V)) steps; a root's parity stays 0.
     """
     parent = list(range(vertex_count + 1))
     parity = bytearray(vertex_count + 1)
     size = [1] * (vertex_count + 1)
     odd = bytearray(vertex_count + 1)  # on roots: the component has an odd cycle
 
-    def find(v: int) -> tuple[int, int]:
-        """(root, parity of v to it), hanging the path walked on the root."""
-        path = []
-        while parent[v] != v:
-            path.append(v)
-            v = parent[v]
-        p = 0
-        for u in reversed(path):  # nearest the root first
-            p ^= parity[u]
-            parity[u], parent[u] = p, v
-        return v, p
-
     components = vertex_count
     for a, b, s in edges:
         if not (1 <= a <= vertex_count and 1 <= b <= vertex_count and s in (1, -1)):
             raise ValueError(f"bad edge {(a, b, s)} on {vertex_count} vertices")
-        (ra, pa), (rb, pb) = find(a), find(b)
-        flip = pa ^ pb ^ (s == 1)  # x_a = -s*x_b sets parity(a) ^ parity(b)
-        if ra == rb:
-            odd[ra] |= flip
+        # x_a = -s*x_b sets parity(a) ^ parity(b); flip gathers it and the
+        # parities of a and b to their roots
+        flip = s == 1
+        while (up := parent[a]) != a:
+            top = parent[up]
+            parity[a] ^= parity[up]
+            parent[a] = top
+            flip ^= parity[a]
+            a = top
+        while (up := parent[b]) != b:
+            top = parent[up]
+            parity[b] ^= parity[up]
+            parent[b] = top
+            flip ^= parity[b]
+            b = top
+        if a == b:  # both roots now
+            odd[a] |= flip
             continue
-        if size[ra] < size[rb]:
-            ra, rb = rb, ra
-        parent[rb], parity[rb] = ra, flip
-        size[ra] += size[rb]
-        odd[ra] |= odd[rb]
+        if size[a] < size[b]:
+            a, b = b, a
+        parent[b], parity[b] = a, flip
+        size[a] += size[b]
+        odd[a] |= odd[b]
         components -= 1
     odd_count = sum(odd[v] for v in range(1, vertex_count + 1) if parent[v] == v)
     return components - odd_count, [2] * odd_count

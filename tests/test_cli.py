@@ -1,7 +1,11 @@
 import contextlib
 import io
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -444,3 +448,64 @@ def test_fuzz_exit_codes(command, source):
         assert err.getvalue().startswith("error: ")
     else:
         assert err.getvalue() == ""
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _child(*argv):
+    """This checkout's `python <argv>` with stdout and stderr piped."""
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    return subprocess.Popen(
+        [sys.executable, *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+def _random_pair(n, seed):
+    rng = random.Random(seed)
+    return f"{random_tree(n, rng)}|{random_tree(n, rng)}"
+
+
+@pytest.mark.parametrize("command", [("group",), ("render", "--ascii-only", "--unoriented")])
+def test_closed_stdout_exits_1_without_a_traceback(command):
+    """Both outputs at n = 300 (about 870 KB and 360 KB) exceed a pipe's
+    buffer, so the child is still writing when the reader closes the pipe."""
+    child = _child("-m", "halfgrids.cli", *command, "--trees", _random_pair(300, 1))
+    assert len(child.stdout.read(100)) == 100
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 1
+    assert err == "error: stdout was closed before the output was written\n"
+
+
+# The child's own peak RSS, in kilobytes on Linux (bytes on macOS), once
+# main has returned; RUSAGE_CHILDREN in the test process would report the
+# largest of all its earlier children instead.
+_PEAK_RSS_STUB = """\
+import resource, sys
+from halfgrids.cli import main
+code = main(sys.argv[1:])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def test_group_writes_a_large_presentation_in_linear_memory():
+    """group on an n = 4000 tree pair prints 2n + 1 lines, about 185 MB,
+    one at a time: the child peaks far below the ~1 GB the relator tuples
+    took when they were all built before printing."""
+    pytest.importorskip("resource")
+    n = 4000
+    child = _child("-c", _PEAK_RSS_STUB, "group", "--trees", _random_pair(n, 4000))
+    lines = 0
+    while chunk := child.stdout.read(1 << 20):
+        lines += chunk.count(b"\n")
+    child.stdout.close()
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=300) == 0, err
+    peak = int(err) // (1024 if sys.platform == "darwin" else 1)  # kilobytes
+    assert peak < 64 * 1024
+    assert lines == 2 * n + 1

@@ -1,13 +1,20 @@
+import contextlib
+import io
 import itertools
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from halfgrids.cli import main
 from halfgrids.errors import DegreeMismatch
 from halfgrids.halfgrid import (
     GridDiagram,
     Permutation,
     assemble_unoriented,
+    format_grid,
     half_grid_from_partition,
     parse_permutation,
     perm_encode,
@@ -20,8 +27,10 @@ from halfgrids.linkgroup import (
     format_presentation_gap,
     grid_presentation,
     grid_relation_edges,
+    grid_relator_lines,
     half_grid_presentation,
     half_grid_relation_edges,
+    half_grid_relator_lines,
     relation_matrix,
     signed_graph_abelianization,
     smith_normal_form,
@@ -270,6 +279,27 @@ class TestStructuralAbelianization:
         assert signed_graph_abelianization(7, edges[:3] + path + [(3, 4, -1)]) == (0, [2])
         assert signed_graph_abelianization(0, []) == (0, [])
 
+    def test_long_path_in_worst_union_order(self):
+        """A 200 000-vertex path, its edges (i, i + 1) taken by the trailing
+        zeros of i: every union joins two equal blocks, so union by size
+        alone would leave trees log2(V) deep.  The edges come as a
+        generator, and the call runs under a recursion limit a few frames
+        above the caller's depth, which a recursive walk would exceed."""
+        count = 200_000
+        order = sorted(range(1, count), key=lambda i: (i & -i, i))
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 10)
+        try:
+            result = signed_graph_abelianization(
+                count, ((i, i + 1, 1 if i % 3 else -1) for i in order)
+            )
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result == (1, [])
+
     def test_bad_edges(self):
         for edge in ((0, 1, 1), (1, 3, 1), (1, 2, 0), (-1, 2, 1)):
             with pytest.raises(ValueError):
@@ -330,3 +360,103 @@ class TestFormatting:
     def test_relation_matrix(self):
         pres = GroupPresentation(3, ((1, 2, -3), (2, 2)))
         assert relation_matrix(pres) == [[1, 1, -1], [0, 2, 0]]
+
+
+@st.composite
+def block_sums(draw, max_block=10):
+    """Two or three random grids along the diagonal.  No column spans the
+    line between two blocks, so the relator there is empty."""
+    blocks = draw(st.lists(
+        st.one_of(oriented_grids(max_block), unoriented_grids(max_block)), min_size=2, max_size=3
+    ))
+    x_cols, o_cols, shift = [], [], 0
+    for g in blocks:
+        x_cols += [c + shift for c in g.x_cols]
+        o_cols += [c + shift for c in g.o_cols]
+        shift += g.size
+    oriented = all(g.oriented for g in blocks)
+    return GridDiagram(shift, tuple(x_cols), tuple(o_cols), oriented=oriented)
+
+
+def _plain_text(count, lines):
+    return "\n".join([f"gens={count}", *(f"rel: {line}" for line in lines)])
+
+
+def _gap_text(count, lines):
+    rels = ", ".join(line or "One(F)" for line in lines)
+    return f"F := FreeGroup({count});;\nG := F / [ {rels} ];\n"
+
+
+def _group_output(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["group", *argv]) == 0
+    return out.getvalue()
+
+
+def _abelianization_line(count, edges):
+    free_rank, torsion = signed_graph_abelianization(count, edges)
+    return f"abelianization: free rank {free_rank}, torsion {','.join(map(str, torsion)) or 'none'}\n"
+
+
+class TestRelatorLines:
+    """The edit sweeps that `group` prints against the relator tuples and
+    their spelling, the oracle they replace on the command line."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_perm_pairs(50))
+    def test_half_grid_lines_match_the_tuples(self, pair):
+        sp, sm = (Permutation(tuple(p)) for p in pair)
+        pres = half_grid_presentation(sp, sm)
+        plain = list(half_grid_relator_lines(sp, sm))
+        gap = list(half_grid_relator_lines(sp, sm, "F.", "*"))
+        assert _plain_text(sp.degree, plain) == format_presentation(pres)
+        assert _gap_text(sp.degree, gap) == format_presentation_gap(pres)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(oriented_grids(30), unoriented_grids(30), block_sums()))
+    def test_grid_lines_match_the_tuples(self, g):
+        pres = grid_presentation(g)
+        plain = list(grid_relator_lines(g))
+        gap = list(grid_relator_lines(g, "F.", "*"))
+        assert _plain_text(g.size, plain) == format_presentation(pres)
+        assert _gap_text(g.size, gap) == format_presentation_gap(pres)
+
+    def test_empty_relators_between_blocks(self):
+        assert list(grid_relator_lines(UNLINK_3)) == ["x1 x2", "", "x3 x4", "", "x5 x6"]
+        assert _gap_text(6, grid_relator_lines(UNLINK_3, "F.", "*")) == (
+            "F := FreeGroup(6);;\nG := F / [ F.1*F.2, One(F), F.3*F.4, One(F), F.5*F.6 ];\n"
+        )
+
+    def test_degrees_checked_at_the_call(self):
+        """A mismatch is raised before a line is read, so `group` has
+        written nothing when it exits."""
+        with pytest.raises(DegreeMismatch):
+            half_grid_relator_lines(parse_permutation("2 1"), parse_permutation("2 1 3 4"))
+        with pytest.raises(DegreeMismatch):
+            half_grid_relator_lines(parse_permutation("2 1 3"), parse_permutation("1 2 3"))
+
+    @settings(max_examples=50, deadline=None)
+    @given(_perm_pairs(50))
+    def test_cli_perms_match_the_oracle(self, pair):
+        sp, sm = (Permutation(tuple(p)) for p in pair)
+        pres = half_grid_presentation(sp, sm)
+        perms = [" ".join(map(str, p)) for p in pair]
+        edges = half_grid_relation_edges(sp, sm)
+        assert _group_output(["--perms", *perms]) == (
+            format_presentation(pres) + "\n" + _abelianization_line(sp.degree, edges)
+        )
+        assert _group_output(["--gap", "--perms", *perms]) == format_presentation_gap(pres)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.one_of(oriented_grids(30), unoriented_grids(30), block_sums()))
+    def test_cli_grid_matches_the_oracle(self, g):
+        pres = grid_presentation(g)
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "g.grid"
+            path.write_text(format_grid(g), encoding="utf-8")
+            plain = _group_output(["--grid", str(path)])
+            gap = _group_output(["--gap", "--grid", str(path)])
+        edges = grid_relation_edges(g)
+        assert plain == format_presentation(pres) + "\n" + _abelianization_line(g.size, edges)
+        assert gap == format_presentation_gap(pres)
