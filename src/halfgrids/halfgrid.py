@@ -335,7 +335,10 @@ def _parse_fields(text: str, names: list[str]) -> dict[str, str]:
         key, sep, value = part.strip().partition("=")
         if not sep:
             raise ParseError(f"malformed field {part.strip()!r}")
-        fields[key.strip()] = value.strip()
+        key = key.strip()
+        if key in fields:
+            raise ParseError(f"duplicate field {key!r}")
+        fields[key] = value.strip()
     missing = [k for k in names if k not in fields]
     if missing:
         raise ParseError(f"missing fields: {', '.join(missing)}")

@@ -5,25 +5,26 @@ is a positive word set equal to the identity.  Words carry signed letters so
 the type extends to general presentations, but everything produced here is
 positive.
 
-Subtracting each relator of a grid or half grid presentation from the next
-leaves relations x_a + s*x_b with s = +1 or -1, so their abelianization is
-that of a signed graph on the generators (`signed_graph_abelianization`).
-General presentations go through the Smith normal form (`abelianization`).
+What `group` runs: `half_grid_relator_lines` and `grid_relator_lines`
+edit each relator line out of the one before, so a presentation of
+Theta(n^2) letters is written in O(n) memory.  Subtracting each relator from
+the next leaves relations x_a + s*x_b with s = +1 or -1, so the
+abelianization is that of a signed graph on the generators, found by
+union-find (`signed_graph_abelianization`).
 
-The CLI spells relators without building them: `half_grid_relator_lines`
-and `grid_relator_lines` edit each line out of the one before, so a
-presentation of Theta(n^2) letters is written in O(n) memory.  The relator
-tuples (`half_grid_presentation`, `grid_presentation`) and their spelling
-(`format_presentation`, `format_presentation_gap`) are their test oracle.
+The rest are definitional oracles that only `verify` and the tests reach:
+the relator tuples (`half_grid_presentation`, `grid_presentation`) built as
+the definitions read, their spelling (`format_presentation`,
+`format_presentation_gap`), and the Smith normal form (`abelianization`),
+which also takes general presentations.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from operator import itemgetter
 
 from .errors import DegreeMismatch
 from .halfgrid import GridDiagram, Permutation
@@ -52,35 +53,17 @@ class GroupPresentation:
         return format_presentation(self)
 
 
-def _trusted(generator_count: int, relators: tuple[Word, ...]) -> GroupPresentation:
-    """A GroupPresentation whose relators were built from a valid grid or
-    two valid permutations; skips the letter range check over all of them
-    that presentations built by hand go through."""
-    p = object.__new__(GroupPresentation)
-    object.__setattr__(p, "generator_count", generator_count)
-    object.__setattr__(p, "relators", relators)
-    return p
-
-
 def grid_presentation(g: GridDiagram) -> GroupPresentation:
-    """One generator per column; relator j lists, left to right, the columns
-    whose vertical segment crosses the horizontal line between rows j, j+1.
-
-    A sweep up the rows: relator j is relator j-1 with the columns whose
-    span starts at row j inserted and those whose span ends there removed.
-    """
-    active: list[int] = []
-    started = bytearray(g.size + 1)
-    relators = []
-    for x, o in zip(g.x_cols[:-1], g.o_cols[:-1]):  # row m only closes columns
-        for c in (x, o):
-            if started[c]:
-                del active[bisect_left(active, c)]
-            else:
-                started[c] = 1
-                insort(active, c)
-        relators.append(tuple(active))
-    return _trusted(g.size, tuple(relators))
+    """One generator per column; relator j, for j = 1..m-1, lists left to
+    right the columns c whose vertical segment crosses the horizontal line
+    between rows j and j+1, those with lo <= j < hi for (lo, hi) =
+    `g.column_rows(c)`."""
+    spans = [g.column_rows(c) for c in range(1, g.size + 1)]
+    relators = tuple(
+        tuple(c for c, (lo, hi) in enumerate(spans, start=1) if lo <= j < hi)
+        for j in range(1, g.size)
+    )
+    return GroupPresentation(g.size, relators)
 
 
 def grid_relation_edges(g: GridDiagram) -> list[Edge]:
@@ -102,12 +85,10 @@ def half_grid_presentation(sigma_plus: Permutation, sigma_minus: Permutation) ->
     full = tuple(range(1, 2 * n + 1))
     relators = [full]
     for sigma in (sigma_plus, sigma_minus):
-        kept = list(full)
         for i in range(1, n):
-            for x in sigma.images[2 * i - 2 : 2 * i]:
-                del kept[bisect_left(kept, x)]
-            relators.append(tuple(kept))
-    return _trusted(2 * n, tuple(relators))
+            deleted = set(sigma.images[: 2 * i])
+            relators.append(tuple(x for x in full if x not in deleted))
+    return GroupPresentation(2 * n, tuple(relators))
 
 
 def half_grid_relation_edges(sigma_plus: Permutation, sigma_minus: Permutation) -> list[Edge]:
@@ -326,22 +307,9 @@ def format_presentation_gap(p: GroupPresentation) -> str:
 
 
 def _spelled(p: GroupPresentation, prefix: str, sep: str) -> list[str]:
-    """Each relator as the names of its letters joined by sep.
-
-    names[x] is the generator x for x = 1..count, and names[-x], counted
-    from the end, is its inverse.  One itemgetter call looks up a whole
-    word; it returns a bare name, not a tuple, for one letter and needs at
-    least one, so shorter words are spelled apart."""
-    count = p.generator_count
-    names = [
-        "",
-        *(f"{prefix}{x}" for x in range(1, count + 1)),
-        *(f"{prefix}{x}^-1" for x in range(count, 0, -1)),
+    """Each relator as the names of its letters joined by sep: prefix + x
+    for the generator x, with ^-1 after it for its inverse."""
+    return [
+        sep.join(f"{prefix}{x}" if x > 0 else f"{prefix}{-x}^-1" for x in word)
+        for word in p.relators
     ]
-    out = []
-    for word in p.relators:
-        if len(word) > 1:
-            out.append(sep.join(itemgetter(*word)(names)))
-        else:
-            out.append(names[word[0]] if word else "")
-    return out

@@ -18,7 +18,7 @@ when a caller asks for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from operator import xor
 
@@ -196,7 +196,6 @@ class TreePair:
 
     top: Tree
     bottom: Tree
-    reduced: bool = field(default=False, compare=False)  # known reduced; not part of equality
 
     def __post_init__(self):
         if len(self.top.ids) != len(self.bottom.ids):
@@ -210,7 +209,7 @@ class TreePair:
         return f"{format_tree(self.top)}|{format_tree(self.bottom)}"
 
 
-IDENTITY = TreePair(LEAF, LEAF, reduced=True)
+IDENTITY = TreePair(LEAF, LEAF)
 
 
 def parse_pair(text: str) -> TreePair:
@@ -234,18 +233,16 @@ def _reduce(leaves) -> TreePair:
             u >>= 1
         stack.append((t, u))
     tops, bottoms = zip(*stack[1:])
-    return TreePair(_trusted(tops), _trusted(bottoms), reduced=True)
+    return TreePair(_trusted(tops), _trusted(bottoms))
 
 
 def reduce_pair(g: TreePair) -> TreePair:
     """Remove common carets in one stack scan; the result is unique."""
-    if g.reduced:
-        return g
     return _reduce(zip(g.top.ids, g.bottom.ids))
 
 
 def inverse(g: TreePair) -> TreePair:
-    return TreePair(g.bottom, g.top, reduced=g.reduced)
+    return TreePair(g.bottom, g.top)
 
 
 def _product_leaves(g: TreePair, h: TreePair):

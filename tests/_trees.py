@@ -120,7 +120,7 @@ def oracle_reduce(g: TreePair) -> TreePair:
             dt, kt, db, kb = dt - 1, pkt >> 1, db - 1, pkb >> 1
         stack.append((dt, kt, db, kb))
     tops, _, bottoms, _ = zip(*stack)
-    return TreePair(Tree(tops), Tree(bottoms), reduced=True)
+    return TreePair(Tree(tops), Tree(bottoms))
 
 
 def oracle_multiply(g: TreePair, h: TreePair) -> TreePair:

@@ -74,6 +74,12 @@ class TestBuild:
         assert code == 0
         assert out == "n=2; X=1,2; O=2,1; oriented=true\n"
 
+    def test_grid_file_with_a_repeated_field(self, capsys, tmp_path):
+        path = tmp_path / "grid.txt"
+        path.write_text("n=2; X=1,2; O=2,1; oriented=false; oriented=true\n")
+        assert run(capsys, "build", "--grid", str(path)) == (
+            2, "", "error: duplicate field 'oriented'\n")
+
     def test_missing_grid_file(self, capsys):
         code, _, err = run(capsys, "build", "--grid", "/nonexistent/grid.txt")
         assert code == 2

@@ -4,7 +4,9 @@ The expected files in tests/fixtures/golden/ hold the stdout (and, for
 `render --out`, the SVG file) of each command on each input of
 `inputs.json`, and the reports of `verify --max-leaves 5`, 6 and 7; the
 last two take seconds (about 2 and 14), so CI diffs them and no test here
-does.  Regenerate them only for an intended output change:
+does.  The README's example is checked against the fixture of the same
+permutations, and each line of its command-line block must exit 0.
+Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
 """
@@ -15,6 +17,8 @@ import contextlib
 import io
 import json
 import os
+import re
+import shlex
 import sys
 import tempfile
 from pathlib import Path
@@ -24,6 +28,7 @@ import pytest
 from halfgrids.cli import main
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+README = Path(__file__).parent.parent / "README.md"
 INPUTS = json.loads((GOLDEN / "inputs.json").read_text(encoding="utf-8"))
 COMMANDS = {
     "invariants": ("invariants",),
@@ -92,6 +97,29 @@ def test_cli_output_matches_golden(name, slug, tmp_path, monkeypatch):
 
 def test_verify_report_matches_golden():
     assert _main(list(VERIFY)) == (0, VERIFY_OUT.read_text(encoding="utf-8"))
+
+
+def _readme_block(heading: str) -> list[str]:
+    """The lines of the first fenced block under a README section heading."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split(f"\n## {heading}\n", 1)[1]
+    match = re.search(r"^```[^\n]*\n(.*?)^```$", section, re.M | re.S)
+    return match.group(1).splitlines()
+
+
+def test_readme_example_matches_golden():
+    command, *output = _readme_block("Example")
+    assert shlex.split(command) == ["$", "halfgrids", "group", *INPUTS["trefoil-perms"]]
+    expected = (GOLDEN / "trefoil-perms.group.out").read_text(encoding="utf-8")
+    assert output == expected.splitlines()
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    lines = [shlex.split(line, comments=True) for line in _readme_block("Command line")]
+    assert lines and all(argv[0] == "halfgrids" for argv in lines)
+    for argv in lines:
+        assert _main(argv[1:])[0] == 0, argv
 
 
 def write_golden() -> None:

@@ -302,6 +302,16 @@ class TestTextFormats:
             with pytest.raises(ParseError):
                 parse_grid(bad)
 
+    def test_grid_refuses_a_repeated_field(self):
+        with pytest.raises(ParseError, match="^duplicate field 'oriented'$"):
+            parse_grid("n=2; X=1,2; O=2,1; oriented=false; oriented=true")
+        with pytest.raises(ParseError, match="^duplicate field 'X'$"):
+            parse_grid("n=2; X=1,2; O=2,1; X = 2,1; oriented=true")
+
+    def test_half_grid_refuses_a_repeated_field(self):
+        with pytest.raises(ParseError, match="^duplicate field 'n'$"):
+            parse_half_grid("n=2; X=2,3; O=4,1; n=2")
+
 
 class TestRotate90:
     def test_involution_like(self):

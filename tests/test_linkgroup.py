@@ -126,15 +126,6 @@ class TestHalfGridPresentation:
             GroupPresentation(4, ((), (2, 0)))
         GroupPresentation(4, ((), (-4, 4, -1, 1)))
 
-    @settings(max_examples=100, deadline=None)
-    @given(_perm_pairs(8), st.one_of(oriented_grids(12), unoriented_grids(12)))
-    def test_built_presentations_pass_the_letter_check(self, pair, g):
-        """The two constructors skip the letter range check; the relators
-        they build pass it."""
-        sp, sm = (Permutation(tuple(p)) for p in pair)
-        for pres in (half_grid_presentation(sp, sm), grid_presentation(g)):
-            assert GroupPresentation(pres.generator_count, pres.relators) == pres
-
 
 class TestSmithNormalForm:
     def test_examples(self):

@@ -125,13 +125,9 @@ class TestTreePair:
             parse_pair("(..)|((..).)")  # leaf counts differ
 
     def test_reduce_examples(self):
-        assert reduce_pair(TreePair(CARET, CARET)) == TreePair(LEAF, LEAF, reduced=True)
+        assert reduce_pair(TreePair(CARET, CARET)) == TreePair(LEAF, LEAF)
         g = TreePair(node(CARET, LEAF), node(LEAF, CARET))
-        assert reduce_pair(g) == TreePair(g.top, g.bottom, reduced=True)
-
-    def test_reduced_flag_is_not_part_of_equality(self):
-        assert parse_pair(".|.") == IDENTITY
-        assert len({parse_pair(".|."), IDENTITY}) == 1
+        assert reduce_pair(g) == TreePair(g.top, g.bottom)
 
     def test_reduce_idempotent(self):
         for g in all_pairs(5):
@@ -315,7 +311,7 @@ class TestDepth:
         t = comb(200)
         flipped = Tree(tuple(reversed(t.depths)))
         g = TreePair(t, flipped)
-        assert reduce_pair(g) == TreePair(t, flipped, reduced=True)
+        assert reduce_pair(g) == TreePair(t, flipped)
         assert multiply(g, inverse(g)) == IDENTITY
         assert multiply(inverse(g), g) == IDENTITY
         assert multiply(multiply(g, g), inverse(g)) == reduce_pair(g)
@@ -342,8 +338,8 @@ class TestDepth:
 
 
 def _same_pair(got: TreePair, want: TreePair) -> None:
-    """Equal trees with the ids the depth scan finds, both marked reduced."""
-    assert got == want and str(got) == str(want) and got.reduced and want.reduced
+    """Equal trees with the ids the depth scan finds."""
+    assert got == want and str(got) == str(want)
     for tree in (got.top, got.bottom):
         assert tree.ids == oracle_ids(tree.depths)
 
