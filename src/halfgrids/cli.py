@@ -73,17 +73,18 @@ def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
 
 
 def _grid(args) -> GridDiagram:
+    """The input's grid; `--unoriented` applies to a grid file's marks too."""
+    unoriented = getattr(args, "unoriented", False)
     if args.grid is not None:
         try:
             with open(args.grid, encoding="utf-8") as fh:
                 text = fh.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {args.grid}: {exc}") from None
-        return parse_grid(text)
+        g = parse_grid(text)
+        return g.unoriented() if unoriented else g
     plus, minus = _half_grids(args)
-    if getattr(args, "unoriented", False):
-        return assemble_unoriented(plus, minus)
-    return assemble(plus, minus)
+    return assemble_unoriented(plus, minus) if unoriented else assemble(plus, minus)
 
 
 def cmd_build(args) -> int:

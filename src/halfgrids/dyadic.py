@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import total_ordering
 
 from .errors import DepthExceeded, NoConjugate, NotInE, ParseError
 
@@ -34,6 +35,7 @@ def _check_depth(exp: int) -> None:
         raise DepthExceeded(f"exponent {exp} exceeds DEPTH_CAP={DEPTH_CAP}")
 
 
+@total_ordering
 @dataclass(frozen=True, order=False)
 class Dyadic:
     """num / 2**exp, normalized so exp == 0 or num is odd."""
@@ -60,15 +62,6 @@ class Dyadic:
     def __lt__(self, other: "Dyadic") -> bool:
         e = max(self.exp, other.exp)
         return self._scaled(e) < other._scaled(e)
-
-    def __le__(self, other: "Dyadic") -> bool:
-        return self == other or self < other
-
-    def __gt__(self, other: "Dyadic") -> bool:
-        return other < self
-
-    def __ge__(self, other: "Dyadic") -> bool:
-        return other <= self
 
     def __add__(self, other: "Dyadic") -> "Dyadic":
         e = max(self.exp, other.exp)

@@ -20,6 +20,15 @@ _COLUMNS = re.compile(rf"\s*{INT}\s*(?:,\s*{INT}\s*)*")
 _SIZE = re.compile(INT)  # the n field, already stripped
 
 
+def _unchecked(cls, **attrs):
+    """A cls value built valid by construction, with the derived tables its
+    builder already knows; skips the checks parsed and user-built values get."""
+    value = object.__new__(cls)
+    for name, attr in attrs.items():
+        object.__setattr__(value, name, attr)
+    return value
+
+
 @dataclass(frozen=True)
 class HalfGrid:
     """n rows by 2n columns; one X and one O per row, one mark per column."""
@@ -64,18 +73,6 @@ def _mark_rows(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]) -> tupl
     return tuple(rows)
 
 
-def _trusted_half_grid(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
-                       mark_rows: tuple[int, ...]) -> HalfGrid:
-    """A HalfGrid from marks built valid by construction, with the mark-row
-    table its builder already knows; skips the checks that parsed and
-    user-built half grids go through."""
-    h = object.__new__(HalfGrid)
-    for name, value in (("n", n), ("x_cols", x_cols), ("o_cols", o_cols),
-                        ("_mark_rows", mark_rows)):
-        object.__setattr__(h, name, value)
-    return h
-
-
 @dataclass(frozen=True)
 class GridDiagram:
     """size x size grid; one X and one O per row; oriented flag."""
@@ -92,17 +89,12 @@ class GridDiagram:
         for x, o in zip(self.x_cols, self.o_cols):
             if x == o or not (1 <= x <= m and 1 <= o <= m):
                 raise ValueError("row marks must be distinct columns in range")
-        x_count = [0] * (m + 1)
-        o_count = [0] * (m + 1)
-        for x, o in zip(self.x_cols, self.o_cols):
-            x_count[x] += 1
-            o_count[o] += 1
+        cols = list(range(1, m + 1))
         if self.oriented:
-            if any(c != 1 for c in x_count[1:]) or any(c != 1 for c in o_count[1:]):
+            if sorted(self.x_cols) != cols or sorted(self.o_cols) != cols:
                 raise ValueError("each column needs exactly one X and one O")
-        else:
-            if any(x_count[c] + o_count[c] != 2 for c in range(1, m + 1)):
-                raise ValueError("each column needs exactly two marks")
+        elif sorted([*self.x_cols, *self.o_cols]) != sorted(cols * 2):
+            raise ValueError("each column needs exactly two marks")
         _fill_spans(self)
 
     def column_rows(self, c: int) -> tuple[int, int]:
@@ -115,7 +107,8 @@ class GridDiagram:
         """The same marks read as one symbol.  A valid grid, oriented or
         not, has two marks in every column, so the result needs no re-check,
         and its span table is this grid's."""
-        return _trusted_grid(self.size, self.x_cols, self.o_cols, False, self._spans)
+        return _unchecked(GridDiagram, size=self.size, x_cols=self.x_cols,
+                          o_cols=self.o_cols, oriented=False, _spans=self._spans)
 
     def __str__(self) -> str:
         return format_grid(self)
@@ -133,18 +126,6 @@ def _fill_spans(g: GridDiagram) -> None:
             else:
                 lo[c - 1] = r
     object.__setattr__(g, "_spans", tuple(zip(lo, hi)))
-
-
-def _trusted_grid(size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
-                  oriented: bool, spans: tuple[tuple[int, int], ...]) -> GridDiagram:
-    """A GridDiagram from marks stacked out of two valid half grids or
-    copied from a valid grid, with the span table its builder already
-    knows; skips the checks that parsed and user-built grids go through."""
-    g = object.__new__(GridDiagram)
-    for name, value in (("size", size), ("x_cols", x_cols), ("o_cols", o_cols),
-                        ("oriented", oriented), ("_spans", spans)):
-        object.__setattr__(g, name, value)
-    return g
 
 
 @dataclass(frozen=True)
@@ -169,14 +150,6 @@ class Permutation:
 
     def __str__(self) -> str:
         return " ".join(str(v) for v in self.images)
-
-
-def _trusted_permutation(images: tuple[int, ...]) -> Permutation:
-    """A Permutation whose images are known to be a bijection on 1..k;
-    skips the sort that permutations built by hand go through."""
-    sigma = object.__new__(Permutation)
-    object.__setattr__(sigma, "images", images)
-    return sigma
 
 
 def parse_permutation(text: str) -> Permutation:
@@ -226,7 +199,8 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
         x, o = (a, b) if ids[a].bit_count() & 1 else (b, a)
         x_cols.append(x)
         o_cols.append(o)
-    return _trusted_half_grid(n, tuple(x_cols), tuple(o_cols), tuple(mark_rows[1:]))
+    return _unchecked(HalfGrid, n=n, x_cols=tuple(x_cols), o_cols=tuple(o_cols),
+                      _mark_rows=tuple(mark_rows[1:]))
 
 
 def half_grid_from_partition(p: SdPartition) -> HalfGrid:
@@ -274,8 +248,8 @@ def _stack(top: HalfGrid, bottom: HalfGrid, oriented: bool) -> GridDiagram:
     top row r at n + r, so its span comes straight from the mark rows."""
     n = top.n
     spans = tuple(zip([n + 1 - r for r in bottom._mark_rows], [n + r for r in top._mark_rows]))
-    return _trusted_grid(2 * n, bottom.o_cols[::-1] + top.x_cols,
-                         bottom.x_cols[::-1] + top.o_cols, oriented, spans)
+    return _unchecked(GridDiagram, size=2 * n, x_cols=bottom.o_cols[::-1] + top.x_cols,
+                      o_cols=bottom.x_cols[::-1] + top.o_cols, oriented=oriented, _spans=spans)
 
 
 def assemble(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
@@ -299,7 +273,7 @@ def perm_encode(h: HalfGrid) -> Permutation:
     images = [0] * (2 * h.n)
     images[0::2] = h.x_cols
     images[1::2] = h.o_cols
-    return _trusted_permutation(tuple(images))
+    return _unchecked(Permutation, images=tuple(images))
 
 
 def perm_decode(sigma: Permutation) -> HalfGrid:
@@ -313,7 +287,8 @@ def perm_decode(sigma: Permutation) -> HalfGrid:
     n = sigma.degree // 2
     x_cols = tuple(sigma.images[0::2])
     o_cols = tuple(sigma.images[1::2])
-    return _trusted_half_grid(n, x_cols, o_cols, _mark_rows(n, x_cols, o_cols))
+    return _unchecked(HalfGrid, n=n, x_cols=x_cols, o_cols=o_cols,
+                      _mark_rows=_mark_rows(n, x_cols, o_cols))
 
 
 def format_half_grid(h: HalfGrid) -> str:
@@ -336,6 +311,8 @@ def _parse_fields(text: str, names: list[str]) -> dict[str, str]:
         if not sep:
             raise ParseError(f"malformed field {part.strip()!r}")
         key = key.strip()
+        if key not in names:
+            raise ParseError(f"unknown field {key!r}")
         if key in fields:
             raise ParseError(f"duplicate field {key!r}")
         fields[key] = value.strip()
@@ -380,20 +357,16 @@ def parse_grid(text: str) -> GridDiagram:
 
 
 def rotate90(g: GridDiagram) -> GridDiagram:
-    """Rotate 90 degrees counterclockwise, mapping to the usual convention
-    (rows O->X, columns X->O, vertical over)."""
+    """Rotate 90 degrees counterclockwise, (c, r) -> (r, m + 1 - c), mapping
+    to the usual convention (rows O->X, columns X->O, vertical over).  Row r
+    takes the two marks of column m + 1 - r: X first when oriented, else the
+    lower one first, as mark labels of an unoriented grid carry no meaning."""
     m = g.size
-    if g.oriented:
-        x_cols = [0] * m
-        o_cols = [0] * m
-        for r in range(1, m + 1):
-            # (c, r) -> (r, m + 1 - c)
-            x_cols[m - g.x_cols[r - 1]] = r
-            o_cols[m - g.o_cols[r - 1]] = r
-        return GridDiagram(m, tuple(x_cols), tuple(o_cols), oriented=True)
-    # unoriented: mark labels carry no meaning; row r gets the two marks of
-    # column m + 1 - r, lower one first
-    spans = [g.column_rows(m + 1 - r) for r in range(1, m + 1)]
-    x_cols = tuple(lo for lo, _ in spans)
-    o_cols = tuple(hi for _, hi in spans)
-    return GridDiagram(m, x_cols, o_cols, oriented=False)
+    x_cols, o_cols = [], []
+    for c in range(m, 0, -1):
+        lo, hi = g._spans[c - 1]
+        if g.oriented and g.x_cols[lo - 1] != c:
+            lo, hi = hi, lo
+        x_cols.append(lo)
+        o_cols.append(hi)
+    return GridDiagram(m, tuple(x_cols), tuple(o_cols), oriented=g.oriented)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -219,6 +220,20 @@ class TestAssemble:
         with pytest.raises(ValueError):
             GridDiagram(2, (1, 2), (1, 2), oriented=False)  # row marks collide
 
+    @pytest.mark.parametrize("args, message", [
+        ((2, (1,), (2, 1)), "need one X and one O column per row"),
+        ((2, (1, 2), (2,), False), "need one X and one O column per row"),
+        ((2, (1, 2), (1, 1)), "row marks must be distinct columns in range"),
+        ((2, (1, 3), (2, 1), False), "row marks must be distinct columns in range"),
+        ((2, (0, 2), (1, 1)), "row marks must be distinct columns in range"),
+        ((2, (1, 1), (2, 2)), "each column needs exactly one X and one O"),
+        ((3, (1, 2, 3), (2, 1, 1)), "each column needs exactly one X and one O"),
+        ((3, (1, 1, 2), (2, 3, 1), False), "each column needs exactly two marks"),
+    ])
+    def test_grid_refusal_messages(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridDiagram(*args)
+
 
 class TestCodec:
     def test_interleaving(self):
@@ -312,8 +327,59 @@ class TestTextFormats:
         with pytest.raises(ParseError, match="^duplicate field 'n'$"):
             parse_half_grid("n=2; X=2,3; O=4,1; n=2")
 
+    def test_grid_refuses_an_unknown_field(self):
+        with pytest.raises(ParseError, match="^unknown field 'orient'$"):
+            parse_grid("n=2; X=1,2; O=2,1; oriented=true; orient=false")
+        with pytest.raises(ParseError, match="^unknown field 'colour'$"):
+            parse_grid("colour=red; n=2; X=1,2; O=2,1; oriented=true")
+
+    def test_half_grid_refuses_an_unknown_field(self):
+        with pytest.raises(ParseError, match="^unknown field 'oriented'$"):
+            parse_half_grid("n=2; X=2,3; O=4,1; oriented=true")
+
+
+@st.composite
+def grids(draw, max_size=12):
+    """A random grid: X columns a permutation, O columns another one that
+    differs from it in every row; unoriented, each row's marks may swap,
+    which reaches every two-marks-per-column grid."""
+    m = draw(st.integers(2, max_size))
+    x_cols = draw(st.permutations(range(1, m + 1)))
+    o_cols = draw(st.permutations(range(1, m + 1)))
+    for r in range(m):  # one pass moves every O off its row's X
+        if o_cols[r] == x_cols[r]:
+            o_cols[r], o_cols[(r + 1) % m] = o_cols[(r + 1) % m], o_cols[r]
+    if draw(st.booleans()):
+        return GridDiagram(m, tuple(x_cols), tuple(o_cols))
+    swaps = draw(st.lists(st.booleans(), min_size=m, max_size=m))
+    rows = [(o, x) if s else (x, o) for s, x, o in zip(swaps, x_cols, o_cols)]
+    return GridDiagram(m, *map(tuple, zip(*rows)), oriented=False)
+
+
+def cells(cols):
+    return {(c, r) for r, c in enumerate(cols, start=1)}
+
 
 class TestRotate90:
+    @settings(max_examples=300, deadline=None)
+    @given(grids())
+    def test_rotation_is_the_coordinate_map(self, g):
+        """(c, r) -> (r, m + 1 - c); oriented grids keep each mark's type,
+        unoriented ones list each row's lower mark first."""
+        m = g.size
+
+        def turn(cs):
+            return {(r, m + 1 - c) for c, r in cs}
+
+        r = rotate90(g)
+        assert (r.size, r.oriented) == (m, g.oriented)
+        if g.oriented:
+            assert cells(r.x_cols) == turn(cells(g.x_cols))
+            assert cells(r.o_cols) == turn(cells(g.o_cols))
+        else:
+            assert cells(r.x_cols) | cells(r.o_cols) == turn(cells(g.x_cols) | cells(g.o_cols))
+            assert all(x < o for x, o in zip(r.x_cols, r.o_cols))
+
     def test_involution_like(self):
         g = GridDiagram(4, (1, 4, 2, 3), (3, 2, 4, 1))
         r = rotate90(g)
