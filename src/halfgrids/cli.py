@@ -12,7 +12,6 @@ import os
 import sys
 from functools import lru_cache
 
-from . import linkdiag, linkgroup, verify
 from .dyadic import partition_leaves
 from .errors import HalfGridError, Incompatible, ParseError
 from .halfgrid import (
@@ -107,6 +106,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_render(args) -> int:
+    from . import linkdiag
+
     g = _grid(args)
     if args.out:
         svg = linkdiag.render_svg(g)
@@ -122,6 +123,8 @@ def cmd_render(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    from . import linkdiag
+
     g = _grid(args)
     crossings = len(linkdiag.diagram(g).positions)  # builds the diagram the rest reads
     comps, cycles = linkdiag.components(g)
@@ -149,6 +152,8 @@ def cmd_invariants(args) -> int:
 def cmd_group(args) -> int:
     """Every check runs before the first line is written, so an error
     leaves stdout empty; then each relator line is written as it is made."""
+    from . import linkgroup
+
     prefix, sep = ("F.", "*") if args.gap else ("x", " ")
     if args.grid is not None:
         g = _grid(args)
@@ -185,6 +190,8 @@ def cmd_encode(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     report = verify.verify_suite(args.max_leaves)
     print(report.format())
     return 0 if report.ok else 3

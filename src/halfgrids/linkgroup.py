@@ -14,9 +14,9 @@ union-find (`signed_graph_abelianization`).
 
 The rest are definitional oracles that only `verify` and the tests reach:
 the relator tuples (`half_grid_presentation`, `grid_presentation`) built as
-the definitions read, their spelling (`format_presentation`,
-`format_presentation_gap`), and the Smith normal form (`abelianization`),
-which also takes general presentations.
+the definitions read, and the Smith normal form (`abelianization`), which
+also takes general presentations.  The tests spell the tuples out
+themselves to check the lines `group` prints.
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class GroupPresentation:
     def sorted_relators(self) -> tuple[Word, ...]:
         """Canonical order: by length, then lexicographically."""
         return tuple(sorted(self.relators, key=lambda w: (len(w), w)))
-
-    def __str__(self) -> str:
-        return format_presentation(self)
 
 
 def grid_presentation(g: GridDiagram) -> GroupPresentation:
@@ -289,27 +286,3 @@ def signed_graph_abelianization(
         components -= 1
     odd_count = sum(odd[v] for v in range(1, vertex_count + 1) if parent[v] == v)
     return components - odd_count, [2] * odd_count
-
-
-def format_presentation(p: GroupPresentation) -> str:
-    lines = [f"gens={p.generator_count}"]
-    lines.extend("rel: " + word for word in _spelled(p, "x", " "))
-    return "\n".join(lines)
-
-
-def format_presentation_gap(p: GroupPresentation) -> str:
-    """Generic finitely-presented-group text form."""
-    rels = [word or "One(F)" for word in _spelled(p, "F.", "*")]
-    return (
-        f"F := FreeGroup({p.generator_count});;\n"
-        f"G := F / [ {', '.join(rels)} ];\n"
-    )
-
-
-def _spelled(p: GroupPresentation, prefix: str, sep: str) -> list[str]:
-    """Each relator as the names of its letters joined by sep: prefix + x
-    for the generator x, with ^-1 after it for its inverse."""
-    return [
-        sep.join(f"{prefix}{x}" if x > 0 else f"{prefix}{-x}^-1" for x in word)
-        for word in p.relators
-    ]

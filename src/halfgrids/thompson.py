@@ -19,7 +19,7 @@ when a caller asks for them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from operator import xor
 
 from .dyadic import (
@@ -205,6 +205,13 @@ class TreePair:
     def n(self) -> int:
         return len(self.top.ids)
 
+    @cached_property
+    def depth(self) -> int:
+        """Depth of the deepest leaf of either tree, found on first use and
+        kept: `apply_map` reads it on every call to refuse pairs deeper than
+        DEPTH_CAP."""
+        return max(max(self.top.ids), max(self.bottom.ids)).bit_length() - 1
+
     def __str__(self) -> str:
         return f"{format_tree(self.top)}|{format_tree(self.bottom)}"
 
@@ -303,9 +310,9 @@ def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
     """Exact image of x under the PL map of g."""
     if not ZERO <= x <= ONE:
         raise ValueError("argument outside [0,1]")
-    top, bottom = g.top.ids, g.bottom.ids
-    if max(max(top), max(bottom)).bit_length() - 1 > DEPTH_CAP:
+    if g.depth > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
+    top, bottom = g.top.ids, g.bottom.ids
     e = x.exp
     hx = x.num + (1 << e)  # x + 1 is hx/2^e, as a leaf's left end + 1 is h/2^d
     e1 = e + 1

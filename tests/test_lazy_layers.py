@@ -1,0 +1,136 @@
+"""Each command loads only the layers it runs.  `import halfgrids` loads no
+layer, and every public name imports its home module on first access.  The
+checks run in fresh interpreters, since this one has loaded every layer."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+TREES = "((..).)|(.(..))"  # an incompatible pair
+UNKNOT = "(..)|(..)"
+CLI_LAYERS = ["cli", "dyadic", "errors", "halfgrid", "thompson"]
+# the public names of the package, by home module
+API = {
+    "dyadic": [
+        "DEPTH_CAP", "Dyadic", "SdInterval", "SdPartition", "conjugate", "midpoint",
+        "midpoint_inverse", "parse_dyadic", "parse_partition", "sign", "spanning_intervals",
+    ],
+    "errors": ["HalfGridError", "Incompatible", "ParseError", "SizeMismatch"],
+    "halfgrid": [
+        "GridDiagram", "HalfGrid", "Permutation", "assemble", "assemble_unoriented",
+        "half_grid_from_partition", "half_grid_from_tree", "is_compatible", "parse_grid",
+        "parse_half_grid", "parse_permutation", "perm_decode", "perm_encode", "rotate90",
+    ],
+    "linkdiag": [
+        "LaurentPoly", "components", "crossings", "front_stats", "half_grid_crossings",
+        "kauffman_bracket", "render_ascii", "render_svg", "seifert_stats", "writhe",
+    ],
+    "linkgroup": [
+        "GroupPresentation", "abelianization", "grid_presentation", "half_grid_presentation",
+        "smith_normal_form",
+    ],
+    "thompson": [
+        "Tree", "TreePair", "apply_map", "enumerate_trees", "inverse", "is_oriented",
+        "multiply", "parse_pair", "parse_tree", "partition_from_tree", "reduce_pair",
+        "tree_from_partition",
+    ],
+    "verify": ["verify_suite"],
+}
+
+# Prints, as its last line, the halfgrids modules loaded so far.
+_LOADED = """
+import json, sys
+print(json.dumps(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("halfgrids."))))
+"""
+
+
+def _fresh(code: str) -> str:
+    """stdout of this checkout's `python -c code`, which must exit 0."""
+    paths = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+def _loaded_after(code: str) -> list[str]:
+    return json.loads(_fresh(code + _LOADED).splitlines()[-1])
+
+
+def test_import_loads_no_layer():
+    assert _loaded_after("import halfgrids") == []
+
+
+def test_cli_import_loads_the_layers_every_command_needs():
+    assert _loaded_after("import halfgrids.cli") == CLI_LAYERS
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["build", "--unoriented", "--trees", TREES], []),
+    (["encode", "--trees", TREES], []),
+    (["export", "--trees", UNKNOT], []),
+    (["group", "--trees", TREES], ["linkgroup"]),
+    (["group", "--gap", "--trees", TREES], ["linkgroup"]),
+    (["invariants", "--trees", UNKNOT], ["linkdiag"]),
+    (["invariants", "--unoriented", "--trees", TREES], ["linkdiag"]),
+    (["render", "--trees", UNKNOT], ["linkdiag"]),
+    (["verify", "--max-leaves", "2"], ["linkdiag", "linkgroup", "verify"]),
+])
+def test_each_command_loads_only_the_layers_it_runs(argv, extra):
+    code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
+    assert _loaded_after(code) == sorted(CLI_LAYERS + extra)
+
+
+def test_public_names_are_their_home_modules_objects():
+    code = f"""
+import importlib, json
+import halfgrids
+api = {API!r}
+same = all(
+    getattr(halfgrids, name) is getattr(importlib.import_module("halfgrids." + home), name)
+    for home, names in api.items() for name in names
+)
+modules = all(
+    getattr(halfgrids, home) is importlib.import_module("halfgrids." + home) for home in api
+)
+print(json.dumps([halfgrids.__all__, same, modules]))
+"""
+    names, same, modules = json.loads(_fresh(code).splitlines()[-1])
+    assert sorted(names) == sorted([*API, *(n for ns in API.values() for n in ns)])
+    assert len(names) == 64
+    assert same and modules
+
+
+def test_submodules_resolve_without_an_import():
+    code = "import halfgrids\nprint(halfgrids.linkdiag.__name__, halfgrids.verify.__name__)\n"
+    assert _fresh(code).split() == ["halfgrids.linkdiag", "halfgrids.verify"]
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from halfgrids import *\nimport halfgrids\n"
+        "print(all(globals()[n] is getattr(halfgrids, n) for n in halfgrids.__all__))\n"
+    )
+    assert _fresh(code).split() == ["True"]
+
+
+def test_dir_lists_the_names_and_unknown_names_raise():
+    code = """
+import json
+import halfgrids
+listed = set(halfgrids.__all__) <= set(dir(halfgrids))
+try:
+    halfgrids.no_such_name
+except AttributeError as exc:
+    message = str(exc)
+print(json.dumps([listed, message]))
+"""
+    listed, message = json.loads(_fresh(code).splitlines()[-1])
+    assert listed
+    assert message == "module 'halfgrids' has no attribute 'no_such_name'"

@@ -23,8 +23,6 @@ from halfgrids.linkdiag import components
 from halfgrids.linkgroup import (
     GroupPresentation,
     abelianization,
-    format_presentation,
-    format_presentation_gap,
     grid_presentation,
     grid_relation_edges,
     grid_relator_lines,
@@ -36,6 +34,7 @@ from halfgrids.linkgroup import (
     smith_normal_form,
 )
 from halfgrids.thompson import enumerate_trees, partition_from_tree
+from _presentations import oracle_format_presentation, oracle_format_presentation_gap
 from test_diagram_oracle import oriented_grids, unoriented_grids
 
 UNKNOT = GridDiagram(2, (1, 2), (2, 1))
@@ -328,7 +327,7 @@ class TestStructuralAbelianization:
 class TestFormatting:
     def test_plain(self):
         pres = half_grid_presentation(SIGMA_PLUS, SIGMA_MINUS)
-        text = format_presentation(pres)
+        text = oracle_format_presentation(pres)
         lines = text.split("\n")
         assert lines[0] == "gens=6"
         assert lines[1] == "rel: x1 x2 x3 x4 x5 x6"
@@ -337,14 +336,14 @@ class TestFormatting:
 
     def test_gap_form(self):
         pres = grid_presentation(UNKNOT)
-        text = format_presentation_gap(pres)
+        text = oracle_format_presentation_gap(pres)
         assert "FreeGroup(2)" in text
         assert "F.1*F.2" in text
 
     def test_inverse_letters_and_empty_words(self):
         pres = GroupPresentation(3, ((1, -2, 3), (), (-3,)))
-        assert format_presentation(pres) == "gens=3\nrel: x1 x2^-1 x3\nrel: \nrel: x3^-1"
-        assert format_presentation_gap(pres) == (
+        assert oracle_format_presentation(pres) == "gens=3\nrel: x1 x2^-1 x3\nrel: \nrel: x3^-1"
+        assert oracle_format_presentation_gap(pres) == (
             "F := FreeGroup(3);;\nG := F / [ F.1*F.2^-1*F.3, One(F), F.3^-1 ];\n"
         )
 
@@ -401,8 +400,8 @@ class TestRelatorLines:
         pres = half_grid_presentation(sp, sm)
         plain = list(half_grid_relator_lines(sp, sm))
         gap = list(half_grid_relator_lines(sp, sm, "F.", "*"))
-        assert _plain_text(sp.degree, plain) == format_presentation(pres)
-        assert _gap_text(sp.degree, gap) == format_presentation_gap(pres)
+        assert _plain_text(sp.degree, plain) == oracle_format_presentation(pres)
+        assert _gap_text(sp.degree, gap) == oracle_format_presentation_gap(pres)
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(oriented_grids(30), unoriented_grids(30), block_sums()))
@@ -410,8 +409,8 @@ class TestRelatorLines:
         pres = grid_presentation(g)
         plain = list(grid_relator_lines(g))
         gap = list(grid_relator_lines(g, "F.", "*"))
-        assert _plain_text(g.size, plain) == format_presentation(pres)
-        assert _gap_text(g.size, gap) == format_presentation_gap(pres)
+        assert _plain_text(g.size, plain) == oracle_format_presentation(pres)
+        assert _gap_text(g.size, gap) == oracle_format_presentation_gap(pres)
 
     def test_empty_relators_between_blocks(self):
         assert list(grid_relator_lines(UNLINK_3)) == ["x1 x2", "", "x3 x4", "", "x5 x6"]
@@ -435,9 +434,9 @@ class TestRelatorLines:
         perms = [" ".join(map(str, p)) for p in pair]
         edges = half_grid_relation_edges(sp, sm)
         assert _group_output(["--perms", *perms]) == (
-            format_presentation(pres) + "\n" + _abelianization_line(sp.degree, edges)
+            oracle_format_presentation(pres) + "\n" + _abelianization_line(sp.degree, edges)
         )
-        assert _group_output(["--gap", "--perms", *perms]) == format_presentation_gap(pres)
+        assert _group_output(["--gap", "--perms", *perms]) == oracle_format_presentation_gap(pres)
 
     @settings(max_examples=50, deadline=None)
     @given(st.one_of(oriented_grids(30), unoriented_grids(30), block_sums()))
@@ -449,5 +448,7 @@ class TestRelatorLines:
             plain = _group_output(["--grid", str(path)])
             gap = _group_output(["--gap", "--grid", str(path)])
         edges = grid_relation_edges(g)
-        assert plain == format_presentation(pres) + "\n" + _abelianization_line(g.size, edges)
-        assert gap == format_presentation_gap(pres)
+        assert plain == (
+            oracle_format_presentation(pres) + "\n" + _abelianization_line(g.size, edges)
+        )
+        assert gap == oracle_format_presentation_gap(pres)
