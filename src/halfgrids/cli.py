@@ -12,21 +12,10 @@ import os
 import sys
 from functools import lru_cache
 
-from .dyadic import partition_leaves
 from .errors import HalfGridError, Incompatible, ParseError
 from .halfgrid import (
-    GridDiagram,
-    HalfGrid,
-    assemble,
-    assemble_unoriented,
-    format_grid,
-    format_half_grid,
-    half_grid_from_tree,
-    is_compatible,
-    parse_grid,
-    parse_permutation,
-    perm_decode,
-    perm_encode,
+    GridDiagram, HalfGrid, assemble, assemble_unoriented, format_grid, format_half_grid,
+    half_grid_from_tree, is_compatible, parse_grid, parse_permutation, perm_decode, perm_encode,
     rotate90,
 )
 from .thompson import _trusted, parse_pair
@@ -40,31 +29,13 @@ class _NoGridFile(argparse.Action):
         raise ParseError("a grid file holds no half grids; give --trees, --partitions or --perms")
 
 
-def _add_source_args(sub: argparse.ArgumentParser, grid: bool = True) -> None:
-    """The input source options; with grid=False, `--grid` is left out of
-    the help and refused."""
-    src = sub.add_argument_group("input source (exactly one)")
-    src = src.add_mutually_exclusive_group(required=True)
-    src.add_argument("--trees", metavar="TOP|BOTTOM", help="tree pair, e.g. '(..)|(..)'")
-    src.add_argument(
-        "--partitions", nargs=2, metavar=("PLUS", "MINUS"),
-        help="two comma-separated dyadic breakpoint lists",
-    )
-    src.add_argument(
-        "--perms", nargs=2, metavar=("SIGMA_PLUS", "SIGMA_MINUS"),
-        help="two one-line permutations of 1..2n",
-    )
-    if grid:
-        src.add_argument("--grid", metavar="FILE", help="file holding a grid diagram line")
-    else:
-        sub.add_argument("--grid", action=_NoGridFile, help=argparse.SUPPRESS)
-
-
 def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
     if args.trees is not None:
         pair = parse_pair(args.trees)
         return half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
     if args.partitions is not None:
+        from .dyadic import partition_leaves
+
         plus, minus = (_trusted(partition_leaves(text)) for text in args.partitions)
         return half_grid_from_tree(plus), half_grid_from_tree(minus)
     sp, sm = (parse_permutation(text) for text in args.perms)
@@ -205,63 +176,89 @@ def cmd_export(args) -> int:
     return 0
 
 
+def _flag(help_line: str | None = None) -> dict:
+    return {"action": "store_true", "help": help_line}
+
+
+# name -> (help line, input sources, handler, further options), in the order
+# --help lists them; the sources are "grid" (all four), "halves" (no grid
+# file) or None, and each option maps its flag to its add_argument keywords
+COMMANDS = {
+    "build": ("construct half grids and the stacked grid", "grid", cmd_build,
+              {"--unoriented": _flag("stack incompatible halves as an unoriented grid")}),
+    "render": ("draw the diagram (ASCII or SVG)", "grid", cmd_render, {
+        "--unoriented": _flag(), "--ascii-only": _flag("7-bit characters only"),
+        "--out": {"metavar": "FILE", "help": "write SVG here instead"}}),
+    "invariants": ("components, writhe, tb/rot, bracket, ...", "grid", cmd_invariants,
+                   {"--unoriented": _flag()}),
+    "group": ("link group presentation", "grid", cmd_group,
+              {"--gap": _flag("emit a finitely-presented-group text form")}),
+    "encode": ("half grids as one-line permutations", "halves", cmd_encode, {}),
+    "verify": ("run the enumeration checks", None, cmd_verify, {"--max-leaves": {
+        "type": int, "default": 5, "metavar": "N", "help": "tree size bound, 1..8 (default 5)"},
+    }),
+    "export": ("print the grid in parseable text form", "grid", cmd_export, {
+        "--unoriented": _flag(),
+        "--rotate90": _flag("rotate to the rows-O-to-X convention first")}),
+}
+
+
+def _add_args(parser: argparse.ArgumentParser, name: str) -> None:
+    """The arguments of command `name`, on its own parser or a subparser;
+    where no grid file is read, `--grid` is left out of the help and refused."""
+    _, sources, _, options = COMMANDS[name]
+    if sources is not None:
+        src = parser.add_argument_group("input source (exactly one)")
+        src = src.add_mutually_exclusive_group(required=True)
+        src.add_argument("--trees", metavar="TOP|BOTTOM", help="tree pair, e.g. '(..)|(..)'")
+        src.add_argument("--partitions", nargs=2, metavar=("PLUS", "MINUS"),
+                         help="two comma-separated dyadic breakpoint lists")
+        src.add_argument("--perms", nargs=2, metavar=("SIGMA_PLUS", "SIGMA_MINUS"),
+                         help="two one-line permutations of 1..2n")
+        if sources == "grid":
+            src.add_argument("--grid", metavar="FILE", help="file holding a grid diagram line")
+        else:
+            parser.add_argument("--grid", action=_NoGridFile, help=argparse.SUPPRESS)
+    for flag, keywords in options.items():
+        parser.add_argument(flag, **keywords)
+
+
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process; parse_args keeps no state in it."""
+    """The parser of every command, built once per process; parse_args
+    keeps no state in it."""
     parser = argparse.ArgumentParser(
-        prog="halfgrids",
-        description="half grid diagrams, grid diagrams and their link invariants",
-    )
+        prog="halfgrids", description="half grid diagrams, grid diagrams and their link invariants")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("build", help="construct half grids and the stacked grid")
-    _add_source_args(sub)
-    sub.add_argument("--unoriented", action="store_true",
-                     help="stack incompatible halves as an unoriented grid")
-    sub.set_defaults(func=cmd_build)
-
-    sub = subs.add_parser("render", help="draw the diagram (ASCII or SVG)")
-    _add_source_args(sub)
-    sub.add_argument("--unoriented", action="store_true")
-    sub.add_argument("--ascii-only", action="store_true",
-                     help="7-bit characters only")
-    sub.add_argument("--out", metavar="FILE", help="write SVG here instead")
-    sub.set_defaults(func=cmd_render)
-
-    sub = subs.add_parser("invariants", help="components, writhe, tb/rot, bracket, ...")
-    _add_source_args(sub)
-    sub.add_argument("--unoriented", action="store_true")
-    sub.set_defaults(func=cmd_invariants)
-
-    sub = subs.add_parser("group", help="link group presentation")
-    _add_source_args(sub)
-    sub.add_argument("--gap", action="store_true",
-                     help="emit a finitely-presented-group text form")
-    sub.set_defaults(func=cmd_group)
-
-    sub = subs.add_parser("encode", help="half grids as one-line permutations")
-    _add_source_args(sub, grid=False)
-    sub.set_defaults(func=cmd_encode)
-
-    sub = subs.add_parser("verify", help="run the enumeration checks")
-    sub.add_argument("--max-leaves", type=int, default=5, metavar="N",
-                     help="tree size bound, 1..8 (default 5)")
-    sub.set_defaults(func=cmd_verify)
-
-    sub = subs.add_parser("export", help="print the grid in parseable text form")
-    _add_source_args(sub)
-    sub.add_argument("--unoriented", action="store_true")
-    sub.add_argument("--rotate90", action="store_true",
-                     help="rotate to the rows-O-to-X convention first")
-    sub.set_defaults(func=cmd_export)
-
+    for name, (help_line, *_) in COMMANDS.items():
+        _add_args(subs.add_parser(name, help=help_line), name)
     return parser
+
+
+@lru_cache(maxsize=None)
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The subparser `build_parser` makes for `name`, built alone, once."""
+    parser = argparse.ArgumentParser(prog=f"halfgrids {name}")
+    _add_args(parser, name)
+    return parser
+
+
+def parse_argv(argv: list[str]) -> tuple[str, argparse.Namespace]:
+    """The command argv names and its arguments, from that command's parser
+    alone; any other argv, or arguments left over, go to the full parser,
+    which prints the help or words the usage error."""
+    if argv and argv[0] in COMMANDS:
+        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return argv[0], args
+    args = build_parser().parse_args(argv)
+    return args.command, args
 
 
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = args.func(args)
+        name, args = parse_argv(sys.argv[1:] if argv is None else argv)
+        code = COMMANDS[name][2](args)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
         return code
     except ParseError as exc:

@@ -4,7 +4,9 @@ Everything here is an immutable value; no floats anywhere.  All breakpoints
 live in [0,1].  DEPTH_CAP is a stated input bound of this layer: a dyadic,
 an interval or a partition that needs an exponent above it raises
 DepthExceeded.  Python integers would need no such cap; it keeps inputs,
-outputs and the half grids built from partitions to a documented size.
+outputs and the half grids built from partitions to a documented size.  The
+bound lives in errors, next to DepthExceeded, and is re-exported here, so
+the layers that only check it need not load this one.
 Trees and tree pairs (thompson) have no depth bound of their own; they meet
 the cap only when turned into breakpoints or half grids, or when a map
 value is computed.
@@ -16,15 +18,8 @@ import re
 from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import DepthExceeded, NoConjugate, NotInE, ParseError
+from .errors import DEPTH_CAP, INT, DepthExceeded, NoConjugate, NotInE, ParseError
 
-DEPTH_CAP = 62
-
-# An integer in input text is an optional "-" and ASCII digits, whitespace
-# around its token.  One C-level match checks a text before int(), which also
-# takes "_", "+" and non-ASCII digits; a token int() refuses as too long is
-# malformed too.
-INT = r"-?[0-9]+"
 _DYADIC = rf"\s*{INT}(?:/{INT})?\s*"
 _DYADIC_TOKEN = re.compile(_DYADIC)
 _DYADIC_LIST = re.compile(rf"{_DYADIC}(?:,{_DYADIC})*")

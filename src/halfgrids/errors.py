@@ -1,4 +1,17 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two input rules they
+enforce: DEPTH_CAP, past which DepthExceeded is raised, and the INT token of
+integer text, which ParseError refuses otherwise."""
+
+# A stated input bound of the dyadic layer: a dyadic, an interval or a
+# partition that needs an exponent above it raises DepthExceeded, and so do
+# trees too deep to be turned into breakpoints, half grids or map values.
+DEPTH_CAP = 62
+
+# An integer in input text is an optional "-" and ASCII digits, whitespace
+# around its token.  One C-level match checks a text before int(), which also
+# takes "_", "+" and non-ASCII digits; a token int() refuses as too long is
+# malformed too.
+INT = r"-?[0-9]+"
 
 
 class HalfGridError(Exception):

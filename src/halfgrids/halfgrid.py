@@ -11,9 +11,14 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .dyadic import DEPTH_CAP, INT, SdPartition, conjugate, sign, spanning_intervals
-from .errors import DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch
+from .errors import (
+    DEPTH_CAP, INT, DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch,
+)
 from .thompson import Tree
+
+TYPE_CHECKING = False  # type checkers read True; `typing` stays unloaded
+if TYPE_CHECKING:
+    from .dyadic import SdPartition
 
 _PERMUTATION = re.compile(rf"\s*(?:{INT}\s+)*(?:{INT})?")
 _COLUMNS = re.compile(rf"\s*{INT}\s*(?:,\s*{INT}\s*)*")
@@ -214,6 +219,8 @@ def half_grid_from_partition(p: SdPartition) -> HalfGrid:
     the conjugate for negative ones.  X marks positive intervals, O marks
     negative; a default O sits at column 1, top row.
     """
+    from .dyadic import conjugate, sign, spanning_intervals
+
     n = p.n
     spanning = spanning_intervals(p)  # midpoint order
     col = {iv: i + 2 for i, iv in enumerate(spanning)}

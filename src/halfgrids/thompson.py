@@ -22,11 +22,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import xor
 
-from .dyadic import (
-    DEPTH_CAP, Dyadic, SdPartition, ZERO, ONE, midpoint, midpoint_inverse, partition_from_leaves, sign,
-    spanning_intervals,
-)
-from .errors import DepthExceeded, ParseError
+from .errors import DEPTH_CAP, DepthExceeded, ParseError
+
+TYPE_CHECKING = False  # type checkers read True; `typing` stays unloaded
+if TYPE_CHECKING:
+    from .dyadic import Dyadic, SdPartition
 
 
 def _ids(depths: tuple[int, ...]) -> tuple[int, ...]:
@@ -179,6 +179,8 @@ def tree_from_partition(p: SdPartition) -> Tree:
 def partition_from_tree(t: Tree) -> SdPartition:
     if max(t.ids).bit_length() - 1 > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
+    from .dyadic import partition_from_leaves
+
     return partition_from_leaves(t.ids)
 
 
@@ -307,20 +309,21 @@ def multiply(g: TreePair, h: TreePair) -> TreePair:
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
-    """Exact image of x under the PL map of g."""
-    if not ZERO <= x <= ONE:
+    """Exact image of x under the PL map of g, made by x's class, Dyadic, so
+    that no call imports the dyadic layer."""
+    e = x.exp
+    if not 0 <= x.num <= 1 << e:
         raise ValueError("argument outside [0,1]")
     if g.depth > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
     top, bottom = g.top.ids, g.bottom.ids
-    e = x.exp
     hx = x.num + (1 << e)  # x + 1 is hx/2^e, as a leaf's left end + 1 is h/2^d
     e1 = e + 1
     for a, la, b in zip(top, map(int.bit_length, top), bottom):
         if hx << la <= (a + 1) << e1:  # first top leaf whose right end is >= x
             # b/2^db + (x + 1 - a/2^da) * 2^(da - db) - 1, with da = la - 1
             db = b.bit_length() - 1
-            return Dyadic(((b - a) << e) + (hx << (la - 1)) - (1 << (db + e)), db + e)
+            return type(x)(((b - a) << e) + (hx << (la - 1)) - (1 << (db + e)), db + e)
     raise AssertionError("unreachable: the leaves cover [0,1]")
 
 
@@ -342,6 +345,8 @@ def is_oriented_via_points(g: TreePair) -> bool:
     """Independent test: the map preserves point signs on all of E(top),
     the midpoints of the spanning intervals; a point's sign is the sign of
     the interval it is the midpoint of."""
+    from .dyadic import midpoint, midpoint_inverse, sign, spanning_intervals
+
     return all(
         sign(midpoint_inverse(apply_map(g, midpoint(iv)))) == sign(iv)
         for iv in spanning_intervals(partition_from_tree(g.top))

@@ -201,6 +201,12 @@ def _check_tree(checks, t: Tree) -> HalfGrid:
     )
 
     checks["codec-roundtrip"].record(perm_decode(perm_encode(h)) == h, where)
+
+    # t is compatible with itself, so h is the top half of a compatible pair
+    tops = half_grid_crossings(h)
+    checks["top-half-crossings-positive"].record(
+        len(tops) == n - 1 and all(x.sign == 1 for x in tops), where
+    )
     return h
 
 
@@ -208,12 +214,6 @@ def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
     g = assemble(a, b)
     where = lambda: f"trees {t1}, {t2}"  # noqa: E731
     checks["writhe-zero"].record(writhe(g) == 0, where)
-
-    tops = half_grid_crossings(a)
-    checks["top-half-crossings-positive"].record(
-        len(tops) == n - 1 and all(x.sign == 1 for x in tops),
-        lambda t1=t1: f"tree {t1}",
-    )
 
     stats = front_stats(g)
     checks["tb-and-rot"].record(stats.tb == -n and stats.rot == 0, where)

@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfgrids.cli import build_parser, main
+from halfgrids.cli import COMMANDS, build_parser, main, parse_argv
 from halfgrids.dyadic import DEPTH_CAP, Dyadic, SdInterval, parse_partition
+from halfgrids.errors import ParseError
 from halfgrids.thompson import Tree, format_tree, partition_from_tree
 
 from _trees import random_tree
@@ -445,6 +446,60 @@ class TestParserReuse:
         assert code == 0 and out.startswith("F := FreeGroup(6);;")
         code, out, _ = run(capsys, "group", *trefoil)
         assert code == 0 and out.startswith("gens=6\n")
+
+
+def _parsed(capsys, parse, argv):
+    """What parsing argv gives: the command and its arguments, the exit
+    code argparse stops with, or a refused input; then stdout and stderr."""
+    try:
+        result = parse(argv)
+    except SystemExit as exc:
+        result = ("exit", exc.code)
+    except ParseError as exc:
+        result = ("error", str(exc))
+    out, err = capsys.readouterr()
+    return result, out, err
+
+
+def _by_own_parser(argv):
+    name, args = parse_argv(argv)
+    return name, vars(args)
+
+
+def _by_full_parser(argv):
+    args = vars(build_parser().parse_args(argv))
+    return args.pop("command"), args
+
+
+class TestParserParity:
+    """A command's own parser parses and words its errors as the full
+    parser's subparser of that name does."""
+
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_help_is_the_full_parsers_subcommand_help(self, capsys, command):
+        own = _parsed(capsys, main, [command, "--help"])
+        assert own[0] == ("exit", 0) and own[1].startswith(f"usage: halfgrids {command} ")
+        assert own == _parsed(capsys, _by_full_parser, [command, "--help"])
+
+    @pytest.mark.parametrize("argv", [
+        [],
+        ["--help"],
+        ["frobnicate"],
+        ["build"],
+        ["build", "--trees", "(..)|(..)", "--perms", "1 2", "2 1"],
+        ["build", "--trees", "(..)|(..)", "--bogus"],
+        ["render", "--trees", "(..)|(..)", "extra"],
+        ["build", "--tree", "(..)|(..)"],
+        ["verify", "--max-leaves", "x"],
+        ["verify", "--max-leaves", "3"],
+        ["verify"],
+        ["encode", "--grid", "g.grid"],
+        ["render", "--ascii-only", "--unoriented", "--partitions", "0,1/2,1", "0,1"],
+        ["export", "--rot", "--grid", "g.grid"],
+        ["-h", "build"],
+    ])
+    def test_same_outcome_as_the_full_parser(self, capsys, argv):
+        assert _parsed(capsys, _by_own_parser, argv) == _parsed(capsys, _by_full_parser, argv)
 
 
 @st.composite

@@ -1,6 +1,8 @@
-"""Each command loads only the layers it runs.  `import halfgrids` loads no
-layer, and every public name imports its home module on first access.  The
-checks run in fresh interpreters, since this one has loaded every layer."""
+"""Each command loads only the layers it runs and builds only its own
+parser; the dyadic layer loads only where breakpoints are read.  `import
+halfgrids` loads no layer, and every public name imports its home module on
+first access.  The checks run in fresh interpreters, since this one has
+loaded every layer."""
 
 import json
 import os
@@ -13,7 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 TREES = "((..).)|(.(..))"  # an incompatible pair
 UNKNOT = "(..)|(..)"
-CLI_LAYERS = ["cli", "dyadic", "errors", "halfgrid", "thompson"]
+CLI_LAYERS = ["cli", "errors", "halfgrid", "thompson"]
 # the public names of the package, by home module
 API = {
     "dyadic": [
@@ -80,11 +82,40 @@ def test_cli_import_loads_the_layers_every_command_needs():
     (["invariants", "--trees", UNKNOT], ["linkdiag"]),
     (["invariants", "--unoriented", "--trees", TREES], ["linkdiag"]),
     (["render", "--trees", UNKNOT], ["linkdiag"]),
-    (["verify", "--max-leaves", "2"], ["linkdiag", "linkgroup", "verify"]),
+    (["verify", "--max-leaves", "2"], ["dyadic", "linkdiag", "linkgroup", "verify"]),
 ])
 def test_each_command_loads_only_the_layers_it_runs(argv, extra):
     code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
     assert _loaded_after(code) == sorted(CLI_LAYERS + extra)
+
+
+def test_a_command_builds_only_its_own_parser():
+    code = f"""
+from halfgrids import cli
+assert cli.main(["encode", "--trees", {TREES!r}]) == 0
+assert cli.main(["encode", "--trees", {UNKNOT!r}]) == 0
+print(cli.build_parser.cache_info().misses, cli.command_parser.cache_info().misses)
+"""
+    assert _fresh(code).split()[-2:] == ["0", "1"]
+
+
+@pytest.mark.parametrize("source, extra", [
+    (["--trees", TREES], []),
+    (["--perms", "1 2 3 4", "2 1 4 3"], []),
+    (["--grid", "GRID"], []),
+    (["--partitions", "0,1/2,1", "0,1/2,1"], ["dyadic"]),
+])
+def test_only_breakpoint_input_loads_the_dyadic_layer(source, extra, tmp_path):
+    grid = tmp_path / "unknot.grid"
+    grid.write_text("n=4; X=1,4,2,3; O=3,2,4,1; oriented=true\n", encoding="utf-8")
+    argv = ["export", "--unoriented", *(str(grid) if a == "GRID" else a for a in source)]
+    code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
+    assert _loaded_after(code) == sorted(CLI_LAYERS + extra)
+
+
+def test_first_api_call_loads_only_its_home_module():
+    code = f"import halfgrids\nhalfgrids.parse_pair({TREES!r})\n"
+    assert _loaded_after(code) == ["errors", "thompson"]
 
 
 def test_public_names_are_their_home_modules_objects():

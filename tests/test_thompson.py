@@ -176,8 +176,9 @@ class TestApplyMap:
         assert apply_map(g, ONE) == ONE
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            apply_map(IDENTITY, Dyadic(2))
+        for x in (Dyadic(2), Dyadic(-1), Dyadic(-1, 62), Dyadic(9, 3), Dyadic((1 << 62) + 1, 62)):
+            with pytest.raises(ValueError, match=r"outside \[0,1\]"):
+                apply_map(IDENTITY, x)
 
     def test_multiply_is_composition(self):
         rng = random.Random(7)
