@@ -169,12 +169,14 @@ def partition_leaves(text: str) -> tuple[int, ...]:
     """Heap id (1 << d) | k of each subinterval [k/2^d, (k+1)/2^d] of the
     partition written as comma-separated breakpoints, in one integer scan.
 
-    Checks run in the order of the object route, `parse_dyadic` on every
-    token and then `SdPartition`, and fail with its exceptions and messages:
-    token errors, then the first breakpoint not above its predecessor, then
-    the ends, then the first subinterval that is not standard dyadic.  Each
-    breakpoint is held as an integer over 2^DEPTH_CAP; a Dyadic is built
-    only on an error path, to raise DepthExceeded or to name an interval."""
+    Checks run in the order of the object route that the tests keep as its
+    oracle (`_object_route` in tests/test_dyadic.py), and fail with its
+    exceptions and messages: `parse_dyadic` on every token, then the first
+    breakpoint not above its predecessor, named by position, then the
+    `SdPartition` checks of the ends and of the first subinterval that is
+    not standard dyadic, raised as ParseError.  Each breakpoint is held as
+    an integer over 2^DEPTH_CAP; a Dyadic is built only on an error path,
+    to raise DepthExceeded or to name an interval."""
     points = []
     well_formed = _DYADIC_LIST.fullmatch(text)  # else find the first bad token
     for i, tok in enumerate(text.split(",")):

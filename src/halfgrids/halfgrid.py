@@ -46,6 +46,8 @@ class HalfGrid:
         n = self.n
         if len(self.x_cols) != n or len(self.o_cols) != n:
             raise ValueError("need one X and one O column per row")
+        if not n:
+            raise ValueError("a half grid needs at least one row")
         used = list(self.x_cols) + list(self.o_cols)
         if sorted(used) != list(range(1, 2 * n + 1)):
             raise ValueError("columns must be a permutation of 1..2n")
@@ -91,6 +93,8 @@ class GridDiagram:
         m = self.size
         if len(self.x_cols) != m or len(self.o_cols) != m:
             raise ValueError("need one X and one O column per row")
+        if not m:
+            raise ValueError("a grid needs at least one row")
         for x, o in zip(self.x_cols, self.o_cols):
             if x == o or not (1 <= x <= m and 1 <= o <= m):
                 raise ValueError("row marks must be distinct columns in range")

@@ -164,16 +164,9 @@ def parse_tree(text: str) -> Tree:
 
 
 def tree_from_partition(p: SdPartition) -> Tree:
-    """Each subinterval [a, b] of p is a leaf; its length 1/2^d gives the
-    depth and a gives the index.  p is checked, so the ids are a tree's."""
-    bps = p.breakpoints
-    ids = []
-    for a, b in zip(bps, bps[1:]):
-        e = max(a.exp, b.exp)
-        gap = (b.num << (e - b.exp)) - (a.num << (e - a.exp))  # 2^(e - d)
-        d = e + 1 - gap.bit_length()
-        ids.append((1 << d) | a.num << (d - a.exp))
-    return _trusted(tuple(ids))
+    """Each subinterval [k/2^m, (k+1)/2^m] of p is the leaf (1 << m) | k.
+    p is checked, so the ids are a tree's."""
+    return _trusted(tuple((1 << iv.m) | iv.k for iv in p.subintervals()))
 
 
 def partition_from_tree(t: Tree) -> SdPartition:
@@ -257,49 +250,26 @@ def inverse(g: TreePair) -> TreePair:
 def _product_leaves(g: TreePair, h: TreePair):
     """The leaves of g·h, unreduced, as (top id, bottom id) pairs: one walk
     over the pieces of the least common refinement of g's bottom and h's
-    top.  Where the two middle trees share a leaf, that leaf is the piece.
-
-    Elsewhere the current pieces x and y of the two sides start at the
-    same point, so the piece is the deeper one, the larger id p.  If p lies
-    s levels below its leaf of g's bottom, its image in g's top is p with
-    that leaf's bits swapped for those of the matching top leaf a,
-    p ^ (gx << s) with gx the XOR of the two leaves; likewise in h's
-    bottom.  p + 1 ends in tz zeros where p ends in tz 1-bits: when
-    s <= tz, p ends where its leaf does and the side moves to its next
-    leaf, else to its next piece (p + 1) >> tz, the right sibling of p's
-    lowest left-child ancestor.  Where both sides end together, the walk
-    goes back to comparing leaves."""
-    g_bottom, h_top = g.bottom.ids, h.top.ids
-    g_leaves = zip(g_bottom, g.top.ids, map(int.bit_length, g_bottom))
-    h_leaves = zip(h_top, h.bottom.ids, map(int.bit_length, h_top))
-    for (x, a, gl), (y, b, hl) in zip(g_leaves, h_leaves):
-        if x == y:
-            yield a, b
-            continue
-        gx, hy = a ^ x, b ^ y  # the bits to swap for the leaves of x and y
-        xl, yl = gl, hl  # bit lengths of the pieces x and y; gl, hl of their leaves
-        while True:
-            if xl >= yl:
-                p, pl = x, xl
+    top.  Each side keeps a stack of the pieces it has still to match,
+    leftmost on top, each with its image: (g's bottom id, g's top id) and
+    (h's top id, h's bottom id).  The two top pieces start at the same
+    point, so the smaller id is the longer interval.  Equal ids are a piece
+    of the product; otherwise the longer piece (x, a) splits, as an affine
+    piece maps its halves to its image's halves: the left half (2x, 2a)
+    stays on top, the right half (2x + 1, 2a + 1) goes below it."""
+    g_stack = list(zip(g.bottom.ids, g.top.ids))[::-1]
+    h_stack = list(zip(h.top.ids, h.bottom.ids))[::-1]
+    while g_stack:
+        x, a = g_stack.pop()
+        y, b = h_stack.pop()
+        while x != y:
+            if x < y:
+                x, a = x << 1, a << 1
+                g_stack.append((x | 1, a | 1))
             else:
-                p, pl = y, yl
-            gs, hs = pl - gl, pl - hl
-            yield p ^ (gx << gs), p ^ (hy << hs)
-            q = p + 1
-            tz = (p ^ q).bit_length() - 1
-            if gs <= tz:
-                if hs <= tz:
-                    break
-                x, a, gl = next(g_leaves)
-                gx, xl = a ^ x, gl
-                y, yl = q >> tz, pl - tz
-            elif hs <= tz:
-                y, b, hl = next(h_leaves)
-                hy, yl = b ^ y, hl
-                x, xl = q >> tz, pl - tz
-            else:
-                x = y = q >> tz
-                xl = yl = pl - tz
+                y, b = y << 1, b << 1
+                h_stack.append((y | 1, b | 1))
+        yield a, b
 
 
 def multiply(g: TreePair, h: TreePair) -> TreePair:

@@ -224,13 +224,11 @@ def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
     )
 
     circles, euler = seifert_stats(g)
-    xs = linkdiag.crossings(g)
-    checks["seifert-euler"].record(
-        euler == -n + 2 and len(xs) == 2 * (n - 1), where
-    )
+    crossings = len(linkdiag.diagram(g).positions)
+    checks["seifert-euler"].record(euler == -n + 2 and crossings == 2 * (n - 1), where)
 
     stab = checks["bracket-stabilization"]
-    if len(xs) + 2 <= linkdiag.BRACKET_CAP and stab.instances < BRACKET_STAB_BUDGET:
+    if crossings + 2 <= linkdiag.BRACKET_CAP and stab.instances < BRACKET_STAB_BUDGET:
         refined = assemble_unoriented(
             half_grid_from_tree(node(t1, LEAF)), half_grid_from_tree(node(t2, LEAF))
         )

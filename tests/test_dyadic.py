@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from halfgrids.dyadic import (
     DEPTH_CAP,
@@ -284,6 +284,8 @@ class TestPartitionLeaves:
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet="0123456789/,- x_+\u0661", max_size=24))
+    @example("1/2,0,1")  # SdPartition alone: "partition must run from 0 to 1"
+    @example("0,1/2,1/4,1")  # SdPartition alone: "breakpoints not increasing at 1/2"
     def test_agrees_with_object_route_on_any_text(self, text):
         assert _outcome(partition_leaves, text) == _outcome(_object_route, text)
 

@@ -105,6 +105,10 @@ class TestHalfGrid:
             HalfGrid(2, (2, 3), (4, 4))
         with pytest.raises(ValueError):
             HalfGrid(2, (2,), (4, 1))
+        with pytest.raises(ValueError, match="^a half grid needs at least one row$"):
+            HalfGrid(0, (), ())
+        with pytest.raises(ValueError, match="^need one X and one O column per row$"):
+            HalfGrid(-1, (), ())
 
     def test_trivial_partition(self):
         h = half_grid_from_partition(parse_partition("0,1"))
@@ -229,6 +233,9 @@ class TestAssemble:
         ((2, (1, 1), (2, 2)), "each column needs exactly one X and one O"),
         ((3, (1, 2, 3), (2, 1, 1)), "each column needs exactly one X and one O"),
         ((3, (1, 1, 2), (2, 3, 1), False), "each column needs exactly two marks"),
+        ((0, (), ()), "a grid needs at least one row"),
+        ((0, (), (), False), "a grid needs at least one row"),
+        ((-1, (), ()), "need one X and one O column per row"),
     ])
     def test_grid_refusal_messages(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
