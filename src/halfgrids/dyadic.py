@@ -15,10 +15,9 @@ value is computed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import total_ordering
 
-from .errors import DEPTH_CAP, INT, DepthExceeded, NoConjugate, NotInE, ParseError
+from .errors import DEPTH_CAP, INT, DepthExceeded, Frozen, NoConjugate, NotInE, ParseError
 
 _DYADIC = rf"\s*{INT}(?:/{INT})?\s*"
 _DYADIC_TOKEN = re.compile(_DYADIC)
@@ -31,12 +30,15 @@ def _check_depth(exp: int) -> None:
 
 
 @total_ordering
-@dataclass(frozen=True, order=False)
-class Dyadic:
+class Dyadic(Frozen):
     """num / 2**exp, normalized so exp == 0 or num is odd."""
 
     num: int
-    exp: int = 0
+    exp: int
+
+    def __init__(self, num: int, exp: int = 0):
+        self.__dict__.update(num=num, exp=exp)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.exp < 0:
@@ -98,12 +100,15 @@ def parse_dyadic(text: str, pos: str = "") -> Dyadic:
     return Dyadic(num, den.bit_length() - 1)
 
 
-@dataclass(frozen=True)
-class SdInterval:
+class SdInterval(Frozen):
     """[k/2^m, (k+1)/2^m] inside [0,1]."""
 
     k: int
     m: int
+
+    def __init__(self, k: int, m: int):
+        self.__dict__.update(k=k, m=m)
+        self.__post_init__()
 
     def __post_init__(self):
         if self.m < 0 or not 0 <= self.k <= (1 << self.m) - 1:
@@ -135,11 +140,14 @@ class SdInterval:
 UNIT = SdInterval(0, 0)
 
 
-@dataclass(frozen=True)
-class SdPartition:
+class SdPartition(Frozen):
     """Breakpoints 0 = a_0 < a_1 < ... < a_n = 1 with s.d. subintervals."""
 
     breakpoints: tuple[Dyadic, ...]
+
+    def __init__(self, breakpoints: tuple[Dyadic, ...]):
+        self.__dict__.update(breakpoints=breakpoints)
+        self.__post_init__()
 
     def __post_init__(self):
         bps = tuple(self.breakpoints)

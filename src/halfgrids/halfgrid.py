@@ -9,10 +9,10 @@ grids reuse the coordinates with every mark read as the same symbol.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import (
-    DEPTH_CAP, INT, DepthExceeded, Incompatible, NotAPermutation, ParseError, SizeMismatch,
+    DEPTH_CAP, INT, DepthExceeded, Frozen, Incompatible, NotAPermutation, ParseError,
+    SizeMismatch,
 )
 from .thompson import Tree
 
@@ -29,18 +29,20 @@ def _unchecked(cls, **attrs):
     """A cls value built valid by construction, with the derived tables its
     builder already knows; skips the checks parsed and user-built values get."""
     value = object.__new__(cls)
-    for name, attr in attrs.items():
-        object.__setattr__(value, name, attr)
+    value.__dict__.update(attrs)
     return value
 
 
-@dataclass(frozen=True)
-class HalfGrid:
+class HalfGrid(Frozen):
     """n rows by 2n columns; one X and one O per row, one mark per column."""
 
     n: int
     x_cols: tuple[int, ...]
     o_cols: tuple[int, ...]
+
+    def __init__(self, n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]):
+        self.__dict__.update(n=n, x_cols=x_cols, o_cols=o_cols)
+        self.__post_init__()
 
     def __post_init__(self):
         n = self.n
@@ -80,14 +82,18 @@ def _mark_rows(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]) -> tupl
     return tuple(rows)
 
 
-@dataclass(frozen=True)
-class GridDiagram:
+class GridDiagram(Frozen):
     """size x size grid; one X and one O per row; oriented flag."""
 
     size: int
     x_cols: tuple[int, ...]
     o_cols: tuple[int, ...]
-    oriented: bool = True
+    oriented: bool
+
+    def __init__(self, size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
+                 oriented: bool = True):
+        self.__dict__.update(size=size, x_cols=x_cols, o_cols=o_cols, oriented=oriented)
+        self.__post_init__()
 
     def __post_init__(self):
         m = self.size
@@ -137,11 +143,14 @@ def _fill_spans(g: GridDiagram) -> None:
     object.__setattr__(g, "_spans", tuple(zip(lo, hi)))
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(Frozen):
     """One-line notation on 1..k."""
 
     images: tuple[int, ...]
+
+    def __init__(self, images: tuple[int, ...]):
+        self.__dict__.update(images=images)
+        self.__post_init__()
 
     def __post_init__(self):
         if sorted(self.images) != list(range(1, len(self.images) + 1)):

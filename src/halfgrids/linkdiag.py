@@ -12,21 +12,22 @@ left of its O) equals "the column runs north" (its X on top).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, repeat
 
-from .errors import TooManyCrossings, UnorientedDiagram
+from .errors import Frozen, TooManyCrossings, UnorientedDiagram
 from .halfgrid import GridDiagram, HalfGrid
 
 BRACKET_CAP = 24
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Frozen):
     row: int  # row of the horizontal (over) strand
     col: int  # column of the vertical (under) strand
     sign: int
+
+    def __init__(self, row: int, col: int, sign: int):
+        self.__dict__.update(row=row, col=col, sign=sign)
 
 
 # the four ends of a crossing, in the order PlanarDiagram.arcs lists their arcs
@@ -257,14 +258,18 @@ def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return len(cycles), tuple(cycles)
 
 
-@dataclass(frozen=True)
-class FrontStats:
+class FrontStats(Frozen):
     writhe: int
     cusps: int
     up_cusps: int
     down_cusps: int
     tb: int
     rot: int
+
+    def __init__(self, writhe: int, cusps: int, up_cusps: int, down_cusps: int, tb: int,
+                 rot: int):
+        self.__dict__.update(writhe=writhe, cusps=cusps, up_cusps=up_cusps,
+                             down_cusps=down_cusps, tb=tb, rot=rot)
 
 
 def front_stats(g: GridDiagram) -> FrontStats:

@@ -24,19 +24,21 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
-from .errors import DegreeMismatch
+from .errors import DegreeMismatch, Frozen
 from .halfgrid import GridDiagram, Permutation
 
 Word = tuple[int, ...]  # signed generator indices; positive = the generator
 Edge = tuple[int, int, int]  # (a, b, s): the relation x_a + s*x_b, s = +1 or -1
 
 
-@dataclass(frozen=True)
-class GroupPresentation:
+class GroupPresentation(Frozen):
     generator_count: int
     relators: tuple[Word, ...]
+
+    def __init__(self, generator_count: int, relators: tuple[Word, ...]):
+        self.__dict__.update(generator_count=generator_count, relators=relators)
+        self.__post_init__()
 
     def __post_init__(self):
         g = self.generator_count

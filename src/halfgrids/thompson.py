@@ -18,11 +18,10 @@ when a caller asks for them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import xor
 
-from .errors import DEPTH_CAP, DepthExceeded, ParseError
+from .errors import DEPTH_CAP, DepthExceeded, Frozen, ParseError
 
 TYPE_CHECKING = False  # type checkers read True; `typing` stays unloaded
 if TYPE_CHECKING:
@@ -55,8 +54,7 @@ def _ids(depths: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True, init=False, repr=False)
-class Tree:
+class Tree(Frozen):
     """A full binary tree, built from the depths of its leaves left to right.
 
     It holds one int per leaf, its heap id; `depths` and `indices` are read
@@ -185,12 +183,15 @@ def leaf_signs(t: Tree) -> tuple[str, ...]:
     return tuple("+" if h.bit_count() & 1 else "-" for h in t.ids)
 
 
-@dataclass(frozen=True)
-class TreePair:
+class TreePair(Frozen):
     """Group element as a (top, bottom) tree pair with equal leaf counts."""
 
     top: Tree
     bottom: Tree
+
+    def __init__(self, top: Tree, bottom: Tree):
+        self.__dict__.update(top=top, bottom=bottom)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.top.ids) != len(self.bottom.ids):

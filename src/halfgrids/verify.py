@@ -12,10 +12,10 @@ check sees its instances in that order and reports the first that fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from . import linkdiag
 from .dyadic import sign, spanning_intervals, spanning_intervals_by_pairs
+from .errors import Frozen
 from .halfgrid import (
     HalfGrid,
     assemble,
@@ -75,19 +75,26 @@ CHECKS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Frozen):
     name: str
     instances: int
     passed: bool
-    counterexample: str | None = None
+    counterexample: str | None
+
+    def __init__(self, name: str, instances: int, passed: bool,
+                 counterexample: str | None = None):
+        self.__dict__.update(name=name, instances=instances, passed=passed,
+                             counterexample=counterexample)
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(Frozen):
     max_leaves: int
     results: tuple[CheckResult, ...]
-    notes: tuple[str, ...] = ()
+    notes: tuple[str, ...]
+
+    def __init__(self, max_leaves: int, results: tuple[CheckResult, ...],
+                 notes: tuple[str, ...] = ()):
+        self.__dict__.update(max_leaves=max_leaves, results=results, notes=notes)
 
     @property
     def ok(self) -> bool:

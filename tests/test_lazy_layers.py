@@ -1,8 +1,9 @@
 """Each command loads only the layers it runs and builds only its own
 parser; the dyadic layer loads only where breakpoints are read.  `import
 halfgrids` loads no layer, and every public name imports its home module on
-first access.  The checks run in fresh interpreters, since this one has
-loaded every layer."""
+first access.  No command and no public name loads `dataclasses` or
+`inspect`.  The checks run in fresh interpreters, since this one has loaded
+every layer."""
 
 import json
 import os
@@ -44,10 +45,14 @@ API = {
     "verify": ["verify_suite"],
 }
 
-# Prints, as its last line, the halfgrids modules loaded so far.
+# Prints, as its last line, the halfgrids modules loaded so far and which of
+# `dataclasses` and `inspect` are.
 _LOADED = """
 import json, sys
-print(json.dumps(sorted(m.partition(".")[2] for m in sys.modules if m.startswith("halfgrids."))))
+print(json.dumps([
+    sorted(m.partition(".")[2] for m in sys.modules if m.startswith("halfgrids.")),
+    [m for m in ("dataclasses", "inspect") if m in sys.modules],
+]))
 """
 
 
@@ -61,16 +66,18 @@ def _fresh(code: str) -> str:
     return done.stdout
 
 
-def _loaded_after(code: str) -> list[str]:
+def _loaded_after(code: str) -> list[list[str]]:
+    """The halfgrids modules, and those of `dataclasses` and `inspect`,
+    loaded after code."""
     return json.loads(_fresh(code + _LOADED).splitlines()[-1])
 
 
 def test_import_loads_no_layer():
-    assert _loaded_after("import halfgrids") == []
+    assert _loaded_after("import halfgrids") == [[], []]
 
 
 def test_cli_import_loads_the_layers_every_command_needs():
-    assert _loaded_after("import halfgrids.cli") == CLI_LAYERS
+    assert _loaded_after("import halfgrids.cli") == [CLI_LAYERS, []]
 
 
 @pytest.mark.parametrize("argv, extra", [
@@ -86,7 +93,7 @@ def test_cli_import_loads_the_layers_every_command_needs():
 ])
 def test_each_command_loads_only_the_layers_it_runs(argv, extra):
     code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
-    assert _loaded_after(code) == sorted(CLI_LAYERS + extra)
+    assert _loaded_after(code) == [sorted(CLI_LAYERS + extra), []]
 
 
 def test_a_command_builds_only_its_own_parser():
@@ -110,12 +117,12 @@ def test_only_breakpoint_input_loads_the_dyadic_layer(source, extra, tmp_path):
     grid.write_text("n=4; X=1,4,2,3; O=3,2,4,1; oriented=true\n", encoding="utf-8")
     argv = ["export", "--unoriented", *(str(grid) if a == "GRID" else a for a in source)]
     code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
-    assert _loaded_after(code) == sorted(CLI_LAYERS + extra)
+    assert _loaded_after(code) == [sorted(CLI_LAYERS + extra), []]
 
 
 def test_first_api_call_loads_only_its_home_module():
     code = f"import halfgrids\nhalfgrids.parse_pair({TREES!r})\n"
-    assert _loaded_after(code) == ["errors", "thompson"]
+    assert _loaded_after(code) == [["errors", "thompson"], []]
 
 
 def test_public_names_are_their_home_modules_objects():
@@ -132,10 +139,12 @@ modules = all(
 )
 print(json.dumps([halfgrids.__all__, same, modules]))
 """
-    names, same, modules = json.loads(_fresh(code).splitlines()[-1])
+    *_, public, loaded = _fresh(code + _LOADED).splitlines()
+    names, same, modules = json.loads(public)
     assert sorted(names) == sorted([*API, *(n for ns in API.values() for n in ns)])
     assert len(names) == 64
     assert same and modules
+    assert json.loads(loaded) == [sorted(API), []]
 
 
 def test_submodules_resolve_without_an_import():
