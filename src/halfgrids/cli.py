@@ -12,7 +12,7 @@ import os
 import sys
 from functools import lru_cache
 
-from .errors import HalfGridError, Incompatible, ParseError
+from .errors import HalfGridError, Incompatible, ParseError, SizeMismatch
 from .halfgrid import (
     GridDiagram, HalfGrid, assemble, assemble_unoriented, format_grid, format_half_grid,
     half_grid_from_tree, is_compatible, parse_grid, parse_permutation, perm_decode, perm_encode,
@@ -30,16 +30,21 @@ class _NoGridFile(argparse.Action):
 
 
 def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
+    """The input's two half grids, refused unless they have one size."""
     if args.trees is not None:
         pair = parse_pair(args.trees)
-        return half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
-    if args.partitions is not None:
+        plus, minus = half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)
+    elif args.partitions is not None:
         from .dyadic import partition_leaves
 
-        plus, minus = (_trusted(partition_leaves(text)) for text in args.partitions)
-        return half_grid_from_tree(plus), half_grid_from_tree(minus)
-    sp, sm = (parse_permutation(text) for text in args.perms)
-    return perm_decode(sp), perm_decode(sm)
+        plus, minus = (half_grid_from_tree(_trusted(partition_leaves(text)))
+                       for text in args.partitions)
+    else:
+        sp, sm = (parse_permutation(text) for text in args.perms)
+        plus, minus = perm_decode(sp), perm_decode(sm)
+    if plus.n != minus.n:
+        raise SizeMismatch(f"half grid sizes differ: {plus.n} vs {minus.n}")
+    return plus, minus
 
 
 def _grid(args) -> GridDiagram:

@@ -37,21 +37,15 @@ class Dyadic(Frozen):
     exp: int
 
     def __init__(self, num: int, exp: int = 0):
-        self.__dict__.update(num=num, exp=exp)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.exp < 0:
+        if exp < 0:
             raise ValueError("exponent must be non-negative")
-        num, exp = self.num, self.exp
         if exp > 0 and num % 2 == 0:
             # strip min(exp, trailing zero bits) factors of two at once
             shift = exp if num == 0 else min(exp, (num & -num).bit_length() - 1)
             num >>= shift
             exp -= shift
         _check_depth(exp)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        self.__dict__.update(num=num, exp=exp)
 
     def _scaled(self, exp: int) -> int:
         return self.num << (exp - self.exp)
@@ -107,13 +101,10 @@ class SdInterval(Frozen):
     m: int
 
     def __init__(self, k: int, m: int):
+        if m < 0 or not 0 <= k <= (1 << m) - 1:
+            raise ValueError(f"not a standard dyadic interval: k={k}, m={m}")
+        _check_depth(m)
         self.__dict__.update(k=k, m=m)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.m < 0 or not 0 <= self.k <= (1 << self.m) - 1:
-            raise ValueError(f"not a standard dyadic interval: k={self.k}, m={self.m}")
-        _check_depth(self.m)
 
     @classmethod
     def from_endpoints(cls, lo: Dyadic, hi: Dyadic) -> "SdInterval":
@@ -146,18 +137,14 @@ class SdPartition(Frozen):
     breakpoints: tuple[Dyadic, ...]
 
     def __init__(self, breakpoints: tuple[Dyadic, ...]):
-        self.__dict__.update(breakpoints=breakpoints)
-        self.__post_init__()
-
-    def __post_init__(self):
-        bps = tuple(self.breakpoints)
-        object.__setattr__(self, "breakpoints", bps)
+        bps = tuple(breakpoints)
         if len(bps) < 2 or bps[0] != ZERO or bps[-1] != ONE:
             raise ValueError("partition must run from 0 to 1")
         for a, b in zip(bps, bps[1:]):
             if not a < b:
                 raise ValueError(f"breakpoints not increasing at {a}")
             SdInterval.from_endpoints(a, b)  # raises if not s.d.
+        self.__dict__.update(breakpoints=bps)
 
     @property
     def n(self) -> int:

@@ -41,19 +41,15 @@ class HalfGrid(Frozen):
     o_cols: tuple[int, ...]
 
     def __init__(self, n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]):
-        self.__dict__.update(n=n, x_cols=x_cols, o_cols=o_cols)
-        self.__post_init__()
-
-    def __post_init__(self):
-        n = self.n
-        if len(self.x_cols) != n or len(self.o_cols) != n:
+        if len(x_cols) != n or len(o_cols) != n:
             raise ValueError("need one X and one O column per row")
         if not n:
             raise ValueError("a half grid needs at least one row")
-        used = list(self.x_cols) + list(self.o_cols)
-        if sorted(used) != list(range(1, 2 * n + 1)):
+        x_cols, o_cols = tuple(x_cols), tuple(o_cols)
+        if sorted(x_cols + o_cols) != list(range(1, 2 * n + 1)):
             raise ValueError("columns must be a permutation of 1..2n")
-        object.__setattr__(self, "_mark_rows", _mark_rows(n, self.x_cols, self.o_cols))
+        self.__dict__.update(n=n, x_cols=x_cols, o_cols=o_cols,
+                             _mark_rows=_mark_rows(n, x_cols, o_cols))
 
     def column_marks(self) -> tuple[str, ...]:
         """Mark type per column, 'X' or 'O'."""
@@ -92,25 +88,22 @@ class GridDiagram(Frozen):
 
     def __init__(self, size: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...],
                  oriented: bool = True):
-        self.__dict__.update(size=size, x_cols=x_cols, o_cols=o_cols, oriented=oriented)
-        self.__post_init__()
-
-    def __post_init__(self):
-        m = self.size
-        if len(self.x_cols) != m or len(self.o_cols) != m:
+        if len(x_cols) != size or len(o_cols) != size:
             raise ValueError("need one X and one O column per row")
-        if not m:
+        if not size:
             raise ValueError("a grid needs at least one row")
-        for x, o in zip(self.x_cols, self.o_cols):
-            if x == o or not (1 <= x <= m and 1 <= o <= m):
+        x_cols, o_cols = tuple(x_cols), tuple(o_cols)
+        for x, o in zip(x_cols, o_cols):
+            if x == o or not (1 <= x <= size and 1 <= o <= size):
                 raise ValueError("row marks must be distinct columns in range")
-        cols = list(range(1, m + 1))
-        if self.oriented:
-            if sorted(self.x_cols) != cols or sorted(self.o_cols) != cols:
+        cols = list(range(1, size + 1))
+        if oriented:
+            if sorted(x_cols) != cols or sorted(o_cols) != cols:
                 raise ValueError("each column needs exactly one X and one O")
-        elif sorted([*self.x_cols, *self.o_cols]) != sorted(cols * 2):
+        elif sorted(x_cols + o_cols) != sorted(cols * 2):
             raise ValueError("each column needs exactly two marks")
-        _fill_spans(self)
+        self.__dict__.update(size=size, x_cols=x_cols, o_cols=o_cols, oriented=oriented,
+                             _spans=_spans(size, x_cols, o_cols))
 
     def column_rows(self, c: int) -> tuple[int, int]:
         """The two rows holding marks in column c, ascending."""
@@ -129,18 +122,19 @@ class GridDiagram(Frozen):
         return format_grid(self)
 
 
-def _fill_spans(g: GridDiagram) -> None:
-    """The column span table, filled bottom row first so each pair comes
-    out ascending."""
-    lo = [0] * g.size
-    hi = [0] * g.size
-    for r, (x, o) in enumerate(zip(g.x_cols, g.o_cols), start=1):
+def _spans(m: int, x_cols: tuple[int, ...],
+           o_cols: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """The two rows of each column's marks, filled bottom row first so each
+    pair comes out ascending."""
+    lo = [0] * m
+    hi = [0] * m
+    for r, (x, o) in enumerate(zip(x_cols, o_cols), start=1):
         for c in (x, o):
             if lo[c - 1]:
                 hi[c - 1] = r
             else:
                 lo[c - 1] = r
-    object.__setattr__(g, "_spans", tuple(zip(lo, hi)))
+    return tuple(zip(lo, hi))
 
 
 class Permutation(Frozen):
@@ -149,12 +143,9 @@ class Permutation(Frozen):
     images: tuple[int, ...]
 
     def __init__(self, images: tuple[int, ...]):
-        self.__dict__.update(images=images)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise NotAPermutation(f"{self.images} is not a bijection on 1..{len(self.images)}")
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise NotAPermutation(f"{images} is not a bijection on 1..{len(images)}")
+        self.__dict__.update(images=tuple(images))
 
     @property
     def degree(self) -> int:

@@ -199,7 +199,7 @@ def diagram(obj: GridDiagram | HalfGrid) -> PlanarDiagram:
     d = obj.__dict__.get("_diagram")
     if d is None:
         d = PlanarDiagram(obj)
-        object.__setattr__(obj, "_diagram", d)
+        obj.__dict__["_diagram"] = d
     return d
 
 

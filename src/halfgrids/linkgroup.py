@@ -37,15 +37,12 @@ class GroupPresentation(Frozen):
     relators: tuple[Word, ...]
 
     def __init__(self, generator_count: int, relators: tuple[Word, ...]):
-        self.__dict__.update(generator_count=generator_count, relators=relators)
-        self.__post_init__()
-
-    def __post_init__(self):
-        g = self.generator_count
-        for word in self.relators:
+        g = generator_count
+        for word in relators:
             if word and (min(word) < -g or max(word) > g or 0 in word):
                 bad = next(x for x in word if not 1 <= abs(x) <= g)
                 raise ValueError(f"letter {bad} out of range")
+        self.__dict__.update(generator_count=generator_count, relators=relators)
 
     def sorted_relators(self) -> tuple[Word, ...]:
         """Canonical order: by length, then lexicographically."""

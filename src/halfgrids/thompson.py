@@ -190,12 +190,9 @@ class TreePair(Frozen):
     bottom: Tree
 
     def __init__(self, top: Tree, bottom: Tree):
-        self.__dict__.update(top=top, bottom=bottom)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.top.ids) != len(self.bottom.ids):
+        if len(top.ids) != len(bottom.ids):
             raise ValueError("tree pair needs equal leaf counts")
+        self.__dict__.update(top=top, bottom=bottom)
 
     @property
     def n(self) -> int:

@@ -192,6 +192,15 @@ class TestEncode:
         assert ("--grid" in out) == lists_grid
 
 
+@pytest.mark.parametrize("source", [["--perms", "1 2", "1 2 3 4"],
+                                    ["--partitions", "0,1", "0,1/2,1"]])
+@pytest.mark.parametrize("command", ["encode", "build", "group"])
+def test_half_grids_of_different_sizes_are_refused(capsys, command, source):
+    """Every command that reads two half grids refuses them, with one
+    message, before it writes a line, whatever the source."""
+    assert run(capsys, command, *source) == (1, "", "error: half grid sizes differ: 1 vs 2\n")
+
+
 class TestRender:
     def test_ascii(self, capsys):
         code, out, _ = run(capsys, "render", "--trees", "(..)|(..)")
@@ -295,18 +304,19 @@ class TestHalfGridRoute:
         on valid input; unnormalised and deep breakpoints included."""
         made = Counter()
         for cls in (Dyadic, SdInterval):
-            def counted(self, init=cls.__post_init__, name=cls.__name__):
+            def counted(self, *args, init=cls.__init__, name=cls.__name__):
                 made[name] += 1
-                init(self)
-            monkeypatch.setattr(cls, "__post_init__", counted)
+                init(self, *args)
+            monkeypatch.setattr(cls, "__init__", counted)
         code, _, _ = run(capsys, "encode", "--trees", "((..)(.(..)))|(.((..)(..)))")
         assert code == 0 and not made
         # a left comb down to 1/2^DEPTH_CAP, written 2/2^(DEPTH_CAP+1)
         comb = ",".join(f"1/{1 << d}" for d in range(DEPTH_CAP - 1, 0, -1))
         deep = f"0/8,2/{1 << (DEPTH_CAP + 1)},{comb},5/8,3/4,7/8,2/2"
         points = ["0,1/4,2/4,5/8,3/4,1", deep]
-        code, _, _ = run(capsys, "encode", "--partitions", *points)
-        assert code == 0 and not made
+        for text in points:  # two half grids of one size each time
+            code, _, _ = run(capsys, "encode", "--partitions", text, text)
+            assert code == 0 and not made
         parse_partition(points[0])  # the object route, kept as an oracle, is counted
         assert made
 

@@ -7,7 +7,9 @@ import dataclasses
 import pytest
 
 from halfgrids.dyadic import Dyadic, SdInterval, SdPartition
-from halfgrids.halfgrid import GridDiagram, HalfGrid, Permutation
+from halfgrids.halfgrid import (
+    GridDiagram, HalfGrid, Permutation, format_grid, parse_grid, perm_decode, perm_encode,
+)
 from halfgrids.linkdiag import Crossing, FrontStats
 from halfgrids.linkgroup import GroupPresentation
 from halfgrids.thompson import Tree, TreePair
@@ -73,3 +75,22 @@ def test_value_contract(cls, kwargs, defaults, text):
         with pytest.raises(dataclasses.FrozenInstanceError):
             delattr(value, name)
         assert getattr(value, name) == before
+
+
+# classes with sequence fields, arguments given as lists, and the text or
+# permutation codec that writes a value and reads it back
+LIST_BUILT = [
+    (HalfGrid, (2, [1, 3], [2, 4]), lambda h: perm_decode(perm_encode(h))),
+    (GridDiagram, (2, [1, 2], [2, 1]), lambda g: parse_grid(format_grid(g))),
+    (Permutation, ([2, 1, 4, 3],), lambda s: perm_encode(perm_decode(s))),
+]
+
+
+@pytest.mark.parametrize("cls, args, round_trip", LIST_BUILT,
+                         ids=[c[0].__name__ for c in LIST_BUILT])
+def test_list_arguments_are_stored_as_tuples(cls, args, round_trip):
+    value = cls(*args)
+    by_tuples = cls(*(tuple(a) if isinstance(a, list) else a for a in args))
+    assert value == by_tuples and hash(value) == hash(by_tuples)
+    assert repr(value) == repr(by_tuples)
+    assert round_trip(value) == value
