@@ -24,7 +24,7 @@ class Frozen:
     __init__ checks and normalises its arguments, then stores every field
     (columns, images and breakpoints as tuples) and any table derived from
     them with one update of the instance __dict__.  Only Tree is slotted;
-    it sets its one slot through object.__setattr__.  Two values are equal
+    it writes its one slot past Frozen.__setattr__.  Two values are equal
     when they are of the same class and their fields are equal, hash by
     their fields, and repr as Class(field=value, ...).  Setting or deleting
     an attribute raises FrozenInstanceError, imported only on that path.
