@@ -22,14 +22,15 @@ class Frozen:
 
     A subclass's fields are the names annotated in its body, in order.  Its
     __init__ checks and normalises its arguments, then stores every field
-    (columns, images and breakpoints as tuples) and any table derived from
-    them with one update of the instance __dict__.  Only Tree is slotted;
-    it writes its one slot past Frozen.__setattr__.  Two values are equal
-    when they are of the same class and their fields are equal, hash by
-    their fields, and repr as Class(field=value, ...).  Setting or deleting
-    an attribute raises FrozenInstanceError, imported only on that path.
-    Nothing is compiled when a subclass is made: it gets its field names,
-    and an equality and a hash that close over one attrgetter of them."""
+    (columns, images, breakpoints, relators, results and notes as tuples)
+    and any table derived from them with one update of the instance
+    __dict__.  Only Tree is slotted; it writes its one slot past
+    Frozen.__setattr__.  Two values are equal when they are of the same
+    class and their fields are equal, hash by their fields, and repr as
+    Class(field=value, ...).  Setting or deleting an attribute raises
+    FrozenInstanceError, imported only on that path.  Nothing is compiled
+    when a subclass is made: it gets its field names, and an equality and a
+    hash that close over one attrgetter of them."""
 
     __slots__ = ()
 

@@ -38,6 +38,7 @@ class GroupPresentation(Frozen):
 
     def __init__(self, generator_count: int, relators: tuple[Word, ...]):
         g = generator_count
+        relators = tuple(map(tuple, relators))
         for word in relators:
             if word and (min(word) < -g or max(word) > g or 0 in word):
                 bad = next(x for x in word if not 1 <= abs(x) <= g)
@@ -84,7 +85,7 @@ def half_grid_presentation(sigma_plus: Permutation, sigma_minus: Permutation) ->
         for i in range(1, n):
             deleted = set(sigma.images[: 2 * i])
             relators.append(tuple(x for x in full if x not in deleted))
-    return GroupPresentation(2 * n, tuple(relators))
+    return GroupPresentation(2 * n, relators)
 
 
 def half_grid_relation_edges(sigma_plus: Permutation, sigma_minus: Permutation) -> list[Edge]:

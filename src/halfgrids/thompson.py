@@ -9,15 +9,18 @@ A tree is the tuple of its leaves' heap ids, left to right: the leaf of
 depth d and index k, the standard dyadic interval [k/2^d, (k+1)/2^d], has
 id (1 << d) | k.  The root [0,1] is 1, the children of h are 2h and 2h + 1,
 its parent is h >> 1 and its sibling h ^ 1.  One int per leaf is all the
-tree algebra reads and writes: parsing, formatting, leaf signs, products,
-inverses, reduction and the map are each one linear scan over the ids
-without recursion, so trees of any depth work; only breakpoints, half grids
+tree algebra reads and writes: parsing, formatting, leaf signs, inverses
+and reduction are each one linear scan over the ids; a product collects its
+leaves on two int lists, then runs the one reduction scan; the map finds a
+point's leaf by bisection over the top ids, O(log n) per point.  None of
+them recurses, so trees of any depth work; only breakpoints, half grids
 and map values meet DEPTH_CAP.  Depths and indices are read off the ids
 when a caller asks for them.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cached_property, lru_cache
 from operator import xor
 
@@ -25,6 +28,8 @@ from .errors import DEPTH_CAP, DepthExceeded, Frozen, ParseError
 
 TYPE_CHECKING = False  # type checkers read True; `typing` stays unloaded
 if TYPE_CHECKING:
+    from collections.abc import Sequence
+
     from .dyadic import Dyadic, SdPartition
 
 
@@ -184,7 +189,8 @@ def leaf_signs(t: Tree) -> tuple[str, ...]:
 
 
 class TreePair(Frozen):
-    """Group element as a (top, bottom) tree pair with equal leaf counts."""
+    """Group element as a (top, bottom) tree pair with equal leaf counts:
+    leaf i of top maps affinely onto leaf i of bottom."""
 
     top: Tree
     bottom: Tree
@@ -219,44 +225,47 @@ def parse_pair(text: str) -> TreePair:
     return TreePair(parse_tree(top_text), parse_tree(bottom_text))
 
 
-def _reduce(leaves) -> TreePair:
-    """The reduced pair of the (top id, bottom id) leaf pairs, left to
-    right, in one stack scan.  Each stack entry is a subtree in both trees,
-    as its pair of ids.  A new entry and the top one merge into their
-    parents while they are right and left siblings in both trees; the
-    result is the unique reduced pair."""
-    stack = [(-1, -1)]  # sentinel: no id is a sibling of -1
-    for t, u in leaves:
-        while t & u & 1 and stack[-1] == (t ^ 1, u ^ 1):
-            del stack[-1]
+def _reduce(tops: Sequence[int], bottoms: Sequence[int]) -> TreePair:
+    """The reduced pair of the leaves whose top and bottom ids are tops[i]
+    and bottoms[i], left to right, in one scan on two int stacks, each with
+    a -1 sentinel: entry j of both stacks is a subtree in both trees.  A new
+    leaf (t, u) and the top entries merge into their parents while they are
+    right and left siblings in both trees; the result is the unique reduced
+    pair."""
+    top_stack, bottom_stack = [-1], [-1]  # sentinel: no id is a sibling of -1
+    for t, u in zip(tops, bottoms):
+        while t & u & 1 and top_stack[-1] == t ^ 1 and bottom_stack[-1] == u ^ 1:
+            del top_stack[-1], bottom_stack[-1]
             t >>= 1
             u >>= 1
-        stack.append((t, u))
-    tops, bottoms = zip(*stack[1:])
-    return TreePair(_trusted(tops), _trusted(bottoms))
+        top_stack.append(t)
+        bottom_stack.append(u)
+    return TreePair(_trusted(tuple(top_stack[1:])), _trusted(tuple(bottom_stack[1:])))
 
 
 def reduce_pair(g: TreePair) -> TreePair:
     """Remove common carets in one stack scan; the result is unique."""
-    return _reduce(zip(g.top.ids, g.bottom.ids))
+    return _reduce(g.top.ids, g.bottom.ids)
 
 
 def inverse(g: TreePair) -> TreePair:
     return TreePair(g.bottom, g.top)
 
 
-def _product_leaves(g: TreePair, h: TreePair):
-    """The leaves of g·h, unreduced, as (top id, bottom id) pairs: one walk
-    over the pieces of the least common refinement of g's bottom and h's
-    top.  Each side keeps a stack of the pieces it has still to match,
-    leftmost on top, each with its image: (g's bottom id, g's top id) and
-    (h's top id, h's bottom id).  The two top pieces start at the same
-    point, so the smaller id is the longer interval.  Equal ids are a piece
-    of the product; otherwise the longer piece (x, a) splits, as an affine
-    piece maps its halves to its image's halves: the left half (2x, 2a)
-    stays on top, the right half (2x + 1, 2a + 1) goes below it."""
+def multiply(g: TreePair, h: TreePair) -> TreePair:
+    """Composition: apply g first, then h.  Result is reduced: one walk over
+    the pieces of the least common refinement of g's bottom and h's top
+    lists the product's leaves, which the scan of `reduce_pair` reduces.
+    Each side keeps a stack of the pieces it has still to match, leftmost
+    on top, each with its image: (g's bottom id, g's top id) and (h's top
+    id, h's bottom id).  The two top pieces start at the same point, so the
+    smaller id is the longer interval.  Equal ids are a piece of the
+    product; otherwise the longer piece (x, a) splits, as an affine piece
+    maps its halves to its image's halves: the left half (2x, 2a) stays on
+    top, the right half (2x + 1, 2a + 1) goes below it."""
     g_stack = list(zip(g.bottom.ids, g.top.ids))[::-1]
     h_stack = list(zip(h.top.ids, h.bottom.ids))[::-1]
+    tops, bottoms = [], []
     while g_stack:
         x, a = g_stack.pop()
         y, b = h_stack.pop()
@@ -267,32 +276,33 @@ def _product_leaves(g: TreePair, h: TreePair):
             else:
                 y, b = y << 1, b << 1
                 h_stack.append((y | 1, b | 1))
-        yield a, b
+        tops.append(a)
+        bottoms.append(b)
+    return _reduce(tops, bottoms)
 
 
-def multiply(g: TreePair, h: TreePair) -> TreePair:
-    """Composition: apply g first, then h.  Result is reduced: the leaves
-    of the product go straight into the stack scan of `reduce_pair`."""
-    return _reduce(_product_leaves(g, h))
+def _right_end(h: int) -> int:
+    """1 + the right end of the leaf h, over 2^DEPTH_CAP: it grows along a
+    tree's leaves, and it is exact for leaves no deeper than DEPTH_CAP."""
+    return (h + 1) << (DEPTH_CAP + 1 - h.bit_length())
 
 
 def apply_map(g: TreePair, x: Dyadic) -> Dyadic:
     """Exact image of x under the PL map of g, made by x's class, Dyadic, so
-    that no call imports the dyadic layer."""
+    that no call imports the dyadic layer.  The top leaf that holds x, the
+    first whose right end is >= x, is found by bisection over the top ids:
+    O(log n) per point, after the depth check."""
     e = x.exp
     if not 0 <= x.num <= 1 << e:
         raise ValueError("argument outside [0,1]")
     if g.depth > DEPTH_CAP:
         raise DepthExceeded("tree too deep for dyadic breakpoints")
-    top, bottom = g.top.ids, g.bottom.ids
     hx = x.num + (1 << e)  # x + 1 is hx/2^e, as a leaf's left end + 1 is h/2^d
-    e1 = e + 1
-    for a, la, b in zip(top, map(int.bit_length, top), bottom):
-        if hx << la <= (a + 1) << e1:  # first top leaf whose right end is >= x
-            # b/2^db + (x + 1 - a/2^da) * 2^(da - db) - 1, with da = la - 1
-            db = b.bit_length() - 1
-            return type(x)(((b - a) << e) + (hx << (la - 1)) - (1 << (db + e)), db + e)
-    raise AssertionError("unreachable: the leaves cover [0,1]")
+    i = bisect_left(g.top.ids, hx << (DEPTH_CAP - e), key=_right_end)
+    a, b = g.top.ids[i], g.bottom.ids[i]
+    # b/2^db + (x + 1 - a/2^da) * 2^(da - db) - 1
+    da, db = a.bit_length() - 1, b.bit_length() - 1
+    return type(x)(((b - a) << e) + (hx << da) - (1 << (db + e)), db + e)
 
 
 def is_oriented(g: TreePair) -> bool:

@@ -94,7 +94,8 @@ class Report(Frozen):
 
     def __init__(self, max_leaves: int, results: tuple[CheckResult, ...],
                  notes: tuple[str, ...] = ()):
-        self.__dict__.update(max_leaves=max_leaves, results=results, notes=notes)
+        self.__dict__.update(max_leaves=max_leaves, results=tuple(results),
+                             notes=tuple(notes))
 
     @property
     def ok(self) -> bool:
@@ -175,7 +176,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
         f"{converse_hits} (informational; the converse of the compatibility "
         "statement is not claimed)",
     )
-    return Report(max_leaves, tuple(c.result() for c in checks.values()), notes)
+    return Report(max_leaves, [c.result() for c in checks.values()], notes)
 
 
 def _check_tree(checks, t: Tree) -> HalfGrid:

@@ -382,6 +382,33 @@ class TestHeapIdOracles:
                     _same_pair(got, oracle_multiply(a, b))
                     assert got == IDENTITY
 
+    @pytest.mark.parametrize("n", [200, 400])
+    def test_bench_sizes(self, n):
+        """Products and reductions at the sizes the benchmark runs: the
+        oracles' pairs, the group laws, and trees that hold tuples, so each
+        result equals and hashes as a fresh parse of its text.  Each g is
+        also re-expressed over a refined bottom tree, a pair that reduces
+        by up to n carets."""
+        rng = random.Random(n + 26)
+        for _ in range(3):
+            g, h, k = (TreePair(random_tree(n, rng), random_tree(n, rng)) for _ in range(3))
+            middle = tree_union(g.bottom, random_tree(n, rng))
+            refined = refine_to(g, middle)
+            results = [multiply(g, h), multiply(h, g), reduce_pair(g), reduce_pair(refined),
+                       multiply(refined, h), multiply(g, inverse(g)), multiply(inverse(g), g)]
+            _same_pair(results[0], oracle_multiply(g, h))
+            _same_pair(results[1], oracle_multiply(h, g))
+            _same_pair(results[2], oracle_reduce(g))
+            _same_pair(results[3], oracle_reduce(refined))
+            assert results[3] == results[2]
+            assert results[4] == results[0]
+            assert results[5] == results[6] == IDENTITY
+            assert multiply(multiply(g, h), k) == multiply(g, multiply(h, k))
+            for r in results:
+                fresh = parse_pair(str(r))
+                assert type(r.top.ids) is type(r.bottom.ids) is tuple
+                assert r == fresh and hash(r) == hash(fresh)
+
     def test_comb_past_depth_cap(self):
         t = comb(5000)
         flipped = Tree(tuple(reversed(t.depths)))

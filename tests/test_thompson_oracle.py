@@ -5,9 +5,11 @@ recurses over that structure: reduction finds the carets of both trees and
 removes the leftmost common one until none is left, multiplication refines
 both pairs over the union tree by grafting, and a partition comes from a
 walk that halves intervals.  Production `halfgrids.thompson` works on leaf
-heap ids in linear scans; Hypothesis compares the two through the tree
-text, on random pairs of up to 40 leaves, on pairs that reduce heavily and
-on pairs whose trees have the same leaf signs.
+heap ids in linear scans and a bisection; Hypothesis compares the two
+through the tree text, on random pairs of up to 40 leaves, on pairs that
+reduce heavily and on pairs whose trees have the same leaf signs.  The map
+is also compared at every breakpoint and leaf midpoint of seeded pairs of
+up to 400 leaves and of combs as deep as DEPTH_CAP.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from halfgrids.thompson import (
     apply_map,
     inverse,
     is_oriented,
+    is_oriented_via_points,
     leaf_signs,
     multiply,
     parse_pair,
@@ -187,13 +190,23 @@ def partition_nested(t) -> SdPartition:
     return SdPartition(tuple(points))
 
 
-def apply_nested(top, bottom, x: Dyadic) -> Dyadic:
+def map_nested(top, bottom):
+    """The PL map of (top, bottom), its partitions read once: the image of x
+    comes from the first top subinterval that holds x."""
     src = partition_nested(top).subintervals()
-    dst = partition_nested(bottom).subintervals()
-    for a, b in zip(src, dst):
-        if a.lo <= x <= a.hi:
-            return b.lo + (x - a.lo).mul_pow2(a.m - b.m)
-    raise AssertionError("unreachable: partitions cover [0,1]")
+    pieces = list(zip(src, partition_nested(bottom).subintervals()))
+
+    def image(x: Dyadic) -> Dyadic:
+        for a, b in pieces:
+            if a.lo <= x <= a.hi:
+                return b.lo + (x - a.lo).mul_pow2(a.m - b.m)
+        raise AssertionError("unreachable: partitions cover [0,1]")
+
+    return image
+
+
+def apply_nested(top, bottom, x: Dyadic) -> Dyadic:
+    return map_nested(top, bottom)(x)
 
 
 def outcome(f):
@@ -376,17 +389,87 @@ def balanced(n: int):
     return None if n == 1 else (balanced(n // 2), balanced(n - n // 2))
 
 
-@pytest.mark.parametrize("d", [DEPTH_CAP - 1, DEPTH_CAP, DEPTH_CAP + 1, DEPTH_CAP + 2])
-def test_depth_cap_edges_match_oracle(d):
-    """Combs of depth d paired with a comb the other way or a shallow tree."""
+def comb_pairs(d: int) -> list:
+    """A comb of depth d paired with a comb the other way or a shallow tree,
+    the comb on top first."""
     comb = other = None
     for _ in range(d):
         comb, other = (None, comb), (other, None)
     shallow = balanced(d + 1)
+    return [(comb, other), (comb, shallow), (shallow, comb)]
+
+
+@pytest.mark.parametrize("d", [DEPTH_CAP - 1, DEPTH_CAP, DEPTH_CAP + 1, DEPTH_CAP + 2])
+def test_depth_cap_edges_match_oracle(d):
+    pairs = comb_pairs(d)
+    comb = pairs[0][0]
     assert outcome(lambda: partition_from_tree(parse_tree(fmt(comb)))) == outcome(
         lambda: partition_nested(comb)
     )
-    for pair in ((comb, other), (comb, shallow), (shallow, comb)):
+    for pair in pairs:
         g = parse_pair(text(pair))
         for x in (Dyadic(1, 1), Dyadic(3, 4), Dyadic(1, DEPTH_CAP), Dyadic(7, DEPTH_CAP), ONE):
             assert outcome(lambda: apply_map(g, x)) == outcome(lambda: apply_nested(*pair, x))
+
+
+def boundary_points(top) -> list[Dyadic]:
+    """Where a leaf search can go off by one: 0, 1 and every breakpoint of
+    top, each also moved by 2^-DEPTH_CAP either way, and the midpoint of
+    every leaf of top no deeper than DEPTH_CAP - 1."""
+    tiny = Dyadic(1, DEPTH_CAP)
+    p = partition_nested(top)
+    out = list(p.breakpoints)
+    out += [b + tiny for b in p.breakpoints if b < ONE]
+    out += [b - tiny for b in p.breakpoints if b > ZERO]
+    out += [Dyadic(2 * iv.k + 1, iv.m + 1) for iv in p.subintervals() if iv.m < DEPTH_CAP]
+    return out
+
+
+def seeded_pairs():
+    """Random and leaf-sign-preserving pairs of up to 400 leaves."""
+    rng = random.Random(26)
+    for n in (1, 2, 3, 5, 17, 60, 200, 400):
+        yield random_tree(n, rng), random_tree(n, rng)
+        t = random_tree(n, rng)
+        yield t, rewrite(t, rng)
+
+
+@pytest.mark.parametrize(
+    "pair", [*seeded_pairs(), *comb_pairs(DEPTH_CAP - 1), *comb_pairs(DEPTH_CAP)],
+    ids=lambda pair: f"{leaf_count(pair[0])}-leaves-depth-{depth(pair[0])}",
+)
+def test_apply_map_at_breakpoints_and_midpoints(pair):
+    g = parse_pair(text(pair))
+    image = map_nested(*pair)
+    for x in boundary_points(pair[0]):
+        assert outcome(lambda: apply_map(g, x)) == outcome(lambda: image(x))
+    fresh = parse_pair(text(pair))
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+
+def test_apply_map_refuses_depth_cap_plus_one():
+    """The range check comes first, then the depth check, with the same
+    messages, whichever tree is too deep."""
+    for pair in comb_pairs(DEPTH_CAP + 1):
+        g = parse_pair(text(pair))
+        assert g.depth == DEPTH_CAP + 1
+        for x in (ZERO, Dyadic(1, 1), Dyadic(1, DEPTH_CAP), ONE):
+            with pytest.raises(DepthExceeded, match="^tree too deep for dyadic breakpoints$"):
+                apply_map(g, x)
+        with pytest.raises(ValueError, match=r"^argument outside \[0,1\]$"):
+            apply_map(g, Dyadic(3, 1))
+
+
+@pytest.mark.parametrize("n", [200, 400])
+def test_oriented_via_points_at_bench_sizes(n):
+    """The point oracle maps every midpoint of the top tree's spanning
+    intervals, 2n - 1 of them."""
+    rng = random.Random(n)
+    seen = set()
+    for _ in range(3):
+        t = random_tree(n, rng)
+        for pair in ((t, random_tree(n, rng)), (t, rewrite(t, rng, tries=40))):
+            g = parse_pair(text(pair))
+            seen.add(is_oriented(g))
+            assert is_oriented_via_points(g) == is_oriented(g)
+    assert seen == {True, False}

@@ -78,11 +78,16 @@ def test_value_contract(cls, kwargs, defaults, text):
 
 
 # classes with sequence fields, arguments given as lists, and the text or
-# permutation codec that writes a value and reads it back
+# permutation codec that writes a value and reads it back, or, where a class
+# has no codec, a rebuild from its fields by the route the package takes
 LIST_BUILT = [
     (HalfGrid, (2, [1, 3], [2, 4]), lambda h: perm_decode(perm_encode(h))),
     (GridDiagram, (2, [1, 2], [2, 1]), lambda g: parse_grid(format_grid(g))),
     (Permutation, ([2, 1, 4, 3],), lambda s: perm_encode(perm_decode(s))),
+    (GroupPresentation, (2, [[2], (1, -2), [-1, 2, 1]]),
+     lambda p: GroupPresentation(p.generator_count, p.sorted_relators())),
+    (Report, (3, [PASSED, CheckResult("y", 0, False, "pair .|.")], ["a note"]),
+     lambda r: Report(r.max_leaves, sorted(r.results, key=lambda c: c.name), list(r.notes))),
 ]
 
 
