@@ -23,7 +23,9 @@ class Frozen:
     A subclass's fields are the names annotated in its body, in order.  Its
     __init__ checks and normalises its arguments, then stores every field
     (columns, images, breakpoints, relators, results and notes as tuples)
-    and any table derived from them with one update of the instance
+    with one update of the instance __dict__.  A table derived from the
+    fields, such as a half grid's mark rows or a grid's column spans, is a
+    cached_property of its class: computed on first read and kept in that
     __dict__.  Only Tree is slotted; it writes its one slot past
     Frozen.__setattr__.  Two values are equal when they are of the same
     class and their fields are equal, hash by their fields, and repr as

@@ -9,6 +9,7 @@ grids reuse the coordinates with every mark read as the same symbol.
 from __future__ import annotations
 
 import re
+from functools import cached_property
 
 from .errors import (
     DEPTH_CAP, INT, DepthExceeded, Frozen, Incompatible, NotAPermutation, ParseError,
@@ -26,8 +27,8 @@ _SIZE = re.compile(INT)  # the n field, already stripped
 
 
 def _unchecked(cls, **attrs):
-    """A cls value built valid by construction, with the derived tables its
-    builder already knows; skips the checks parsed and user-built values get."""
+    """A cls value built valid by construction from its fields; skips the
+    checks parsed and user-built values get."""
     value = object.__new__(cls)
     value.__dict__.update(attrs)
     return value
@@ -48,8 +49,7 @@ class HalfGrid(Frozen):
         x_cols, o_cols = tuple(x_cols), tuple(o_cols)
         if sorted(x_cols + o_cols) != list(range(1, 2 * n + 1)):
             raise ValueError("columns must be a permutation of 1..2n")
-        self.__dict__.update(n=n, x_cols=x_cols, o_cols=o_cols,
-                             _mark_rows=_mark_rows(n, x_cols, o_cols))
+        self.__dict__.update(n=n, x_cols=x_cols, o_cols=o_cols)
 
     def column_marks(self) -> tuple[str, ...]:
         """Mark type per column, 'X' or 'O'."""
@@ -66,16 +66,16 @@ class HalfGrid(Frozen):
             raise ValueError(f"column {c} out of range")
         return self._mark_rows[c - 1]
 
+    @cached_property
+    def _mark_rows(self) -> tuple[int, ...]:
+        """The row of each column's mark, found on first read and kept."""
+        rows = [0] * (2 * self.n)
+        for r, (x, o) in enumerate(zip(self.x_cols, self.o_cols), start=1):
+            rows[x - 1] = rows[o - 1] = r
+        return tuple(rows)
+
     def __str__(self) -> str:
         return format_half_grid(self)
-
-
-def _mark_rows(n: int, x_cols: tuple[int, ...], o_cols: tuple[int, ...]) -> tuple[int, ...]:
-    """The row of each column's mark."""
-    rows = [0] * (2 * n)
-    for r, (x, o) in enumerate(zip(x_cols, o_cols), start=1):
-        rows[x - 1] = rows[o - 1] = r
-    return tuple(rows)
 
 
 class GridDiagram(Frozen):
@@ -102,8 +102,7 @@ class GridDiagram(Frozen):
                 raise ValueError("each column needs exactly one X and one O")
         elif sorted(x_cols + o_cols) != sorted(cols * 2):
             raise ValueError("each column needs exactly two marks")
-        self.__dict__.update(size=size, x_cols=x_cols, o_cols=o_cols, oriented=oriented,
-                             _spans=_spans(size, x_cols, o_cols))
+        self.__dict__.update(size=size, x_cols=x_cols, o_cols=o_cols, oriented=oriented)
 
     def column_rows(self, c: int) -> tuple[int, int]:
         """The two rows holding marks in column c, ascending."""
@@ -111,30 +110,28 @@ class GridDiagram(Frozen):
             raise ValueError(f"column {c} out of range")
         return self._spans[c - 1]
 
+    @cached_property
+    def _spans(self) -> tuple[tuple[int, int], ...]:
+        """The two rows of each column's marks, ascending, found on first
+        read and kept: a column's top row is the last one to write it going
+        up, its bottom row the last one going down."""
+        lo = [0] * (self.size + 1)  # indexed by column; index 0 is unused
+        hi = [0] * (self.size + 1)
+        rows = range(1, self.size + 1)
+        for r, x, o in zip(rows, self.x_cols, self.o_cols):
+            hi[x] = hi[o] = r
+        for r, x, o in zip(reversed(rows), reversed(self.x_cols), reversed(self.o_cols)):
+            lo[x] = lo[o] = r
+        return tuple(zip(lo[1:], hi[1:]))
+
     def unoriented(self) -> "GridDiagram":
         """The same marks read as one symbol.  A valid grid, oriented or
-        not, has two marks in every column, so the result needs no re-check,
-        and its span table is this grid's."""
+        not, has two marks in every column, so the result needs no re-check."""
         return _unchecked(GridDiagram, size=self.size, x_cols=self.x_cols,
-                          o_cols=self.o_cols, oriented=False, _spans=self._spans)
+                          o_cols=self.o_cols, oriented=False)
 
     def __str__(self) -> str:
         return format_grid(self)
-
-
-def _spans(m: int, x_cols: tuple[int, ...],
-           o_cols: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """The two rows of each column's marks, filled bottom row first so each
-    pair comes out ascending."""
-    lo = [0] * m
-    hi = [0] * m
-    for r, (x, o) in enumerate(zip(x_cols, o_cols), start=1):
-        for c in (x, o):
-            if lo[c - 1]:
-                hi[c - 1] = r
-            else:
-                lo[c - 1] = r
-    return tuple(zip(lo, hi))
 
 
 class Permutation(Frozen):
@@ -162,12 +159,7 @@ class Permutation(Frozen):
 
 
 def parse_permutation(text: str) -> Permutation:
-    try:
-        if not _PERMUTATION.fullmatch(text):
-            raise ValueError(text)
-        return Permutation(tuple(map(int, text.split())))
-    except ValueError:  # refused by the token rule, or more digits than int() reads
-        raise ParseError(f"malformed permutation {text!r}") from None
+    return Permutation(_parse_ints(text, _PERMUTATION, "permutation"))
 
 
 def half_grid_from_tree(t: Tree) -> HalfGrid:
@@ -201,15 +193,12 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
     evens, odds = by_id[0::2], by_id[1::2]
     depth = [ids[c].bit_length() for c in odds]
     x_cols, o_cols = [], []
-    mark_rows = [0] * (2 * n + 1)
-    for r, i in enumerate(sorted(range(n), key=depth.__getitem__, reverse=True), start=1):
+    for i in sorted(range(n), key=depth.__getitem__, reverse=True):
         a, b = evens[i], odds[i]
-        mark_rows[a] = mark_rows[b] = r
         x, o = (a, b) if ids[a].bit_count() & 1 else (b, a)
         x_cols.append(x)
         o_cols.append(o)
-    return _unchecked(HalfGrid, n=n, x_cols=tuple(x_cols), o_cols=tuple(o_cols),
-                      _mark_rows=tuple(mark_rows[1:]))
+    return _unchecked(HalfGrid, n=n, x_cols=tuple(x_cols), o_cols=tuple(o_cols))
 
 
 def half_grid_from_partition(p: SdPartition) -> HalfGrid:
@@ -254,13 +243,9 @@ def is_compatible(a: HalfGrid, b: HalfGrid) -> bool:
 
 
 def _stack(top: HalfGrid, bottom: HalfGrid, oriented: bool) -> GridDiagram:
-    """The 2n x 2n stack: flipped bottom (marks swapped), then top.  Column
-    c holds one mark of each half, bottom row r at stack row n + 1 - r and
-    top row r at n + r, so its span comes straight from the mark rows."""
-    n = top.n
-    spans = tuple(zip([n + 1 - r for r in bottom._mark_rows], [n + r for r in top._mark_rows]))
-    return _unchecked(GridDiagram, size=2 * n, x_cols=bottom.o_cols[::-1] + top.x_cols,
-                      o_cols=bottom.x_cols[::-1] + top.o_cols, oriented=oriented, _spans=spans)
+    """The 2n x 2n stack: flipped bottom (marks swapped), then top."""
+    return _unchecked(GridDiagram, size=2 * top.n, x_cols=bottom.o_cols[::-1] + top.x_cols,
+                      o_cols=bottom.x_cols[::-1] + top.o_cols, oriented=oriented)
 
 
 def assemble(top: HalfGrid, bottom: HalfGrid) -> GridDiagram:
@@ -295,11 +280,8 @@ def perm_decode(sigma: Permutation) -> HalfGrid:
         raise NotAPermutation("half grid permutation needs even degree")
     if not sigma.degree:
         raise NotAPermutation("half grid permutation needs at least one row")
-    n = sigma.degree // 2
-    x_cols = tuple(sigma.images[0::2])
-    o_cols = tuple(sigma.images[1::2])
-    return _unchecked(HalfGrid, n=n, x_cols=x_cols, o_cols=o_cols,
-                      _mark_rows=_mark_rows(n, x_cols, o_cols))
+    return _unchecked(HalfGrid, n=sigma.degree // 2, x_cols=sigma.images[0::2],
+                      o_cols=sigma.images[1::2])
 
 
 def format_half_grid(h: HalfGrid) -> str:
@@ -337,7 +319,7 @@ def _parse_ints(value: str, rule: re.Pattern[str], what: str) -> tuple[int, ...]
     try:
         if not rule.fullmatch(value):
             raise ValueError(value)
-        return tuple(map(int, value.split(",")))
+        return tuple(map(int, value.replace(",", " ").split()))
     except ValueError:  # refused by the token rule, or more digits than int() reads
         raise ParseError(f"malformed {what} {value!r}") from None
 

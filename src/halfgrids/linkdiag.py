@@ -236,8 +236,11 @@ def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Component count plus the partition of columns into traced cycles.
 
     Cycles are listed with their smallest column first, sorted by it.
+    A half grid is open, so it has no cycles and is refused.
     """
     d = diagram(g)
+    if not d.closed:
+        raise ValueError("components need a closed diagram")
     seen = [False] * (d.width + 1)
     cycles = []
     for start in range(1, d.width + 1):

@@ -22,7 +22,6 @@ themselves to check the lines `group` prints.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 
 from .errors import DegreeMismatch, Frozen
@@ -144,26 +143,26 @@ def _deletion_sweep(
 def grid_relator_lines(g: GridDiagram, prefix: str = "x", sep: str = " ") -> Iterator[str]:
     """The relators of `grid_presentation`, spelled and padded as in
     `half_grid_relator_lines`.  A column whose span starts at row j goes in
-    before the name of the next active column, or at the end if none
-    follows; a column whose span ends there is deleted."""
-    active: list[int] = []
-    started = bytearray(g.size + 1)
+    before the name of the next live column, or at the end if none
+    follows; a column whose span ends there is deleted.  One byte per
+    column is set while its span is open: each column holds two marks, so
+    its first mark opens the span and its second closes it."""
+    live = bytearray(g.size + 1)
     line = sep
     w = len(sep)
     for x, o in zip(g.x_cols[:-1], g.o_cols[:-1]):  # row m only closes columns
         for c in (x, o):
-            i = bisect_left(active, c)
-            if started[c]:
-                del active[i]
-                line = line.replace(f"{sep}{prefix}{c}{sep}", sep, 1)
-                continue
-            started[c] = 1
-            if i < len(active):
-                after = f"{prefix}{active[i]}{sep}"
-                line = line.replace(sep + after, f"{sep}{prefix}{c}{sep}{after}", 1)
+            name = f"{sep}{prefix}{c}{sep}"
+            if live[c]:
+                line = line.replace(name, sep, 1)
             else:
-                line += f"{prefix}{c}{sep}"
-            active.insert(i, c)
+                nxt = live.find(1, c)
+                if nxt < 0:
+                    line += name[w:]
+                else:
+                    after = f"{prefix}{nxt}{sep}"
+                    line = line.replace(sep + after, name + after, 1)
+            live[c] ^= 1
         yield line[w:-w]
 
 

@@ -242,6 +242,52 @@ class TestAssemble:
             GridDiagram(*args)
 
 
+def _rows_by_scan(v):
+    """The rows of each column's marks, ascending, by a scan of the marks."""
+    rows = {}
+    for r, (x, o) in enumerate(zip(v.x_cols, v.o_cols), start=1):
+        rows.setdefault(x, []).append(r)
+        rows.setdefault(o, []).append(r)
+    return [tuple(rows[c]) for c in sorted(rows)]
+
+
+_TREE_TOP = half_grid_from_tree(Tree((2, 3, 3, 2, 3, 4, 4)))
+_TREE_BOTTOM = half_grid_from_tree(Tree((1, 3, 4, 4, 3, 4, 4)))
+_PERM_TOP = perm_decode(Permutation((4, 6, 5, 1, 8, 2, 7, 3, 14, 9, 10, 13, 12, 11)))
+BUILDERS = {
+    "HalfGrid": lambda: HalfGrid(4, (4, 5, 8, 7), (6, 1, 2, 3)),
+    "half_grid_from_tree": lambda: half_grid_from_tree(Tree((2, 3, 3, 2, 3, 4, 4))),
+    "perm_decode": lambda: perm_decode(Permutation((2, 3, 4, 1))),
+    "parse_half_grid": lambda: parse_half_grid("n=2; X=2,3; O=4,1"),
+    "GridDiagram": lambda: GridDiagram(4, (2, 1, 4, 3), (3, 4, 1, 2)),
+    "GridDiagram-unoriented": lambda: GridDiagram(3, (1, 3, 2), (2, 1, 3), oriented=False),
+    "parse_grid": lambda: parse_grid("n=2; X=1,2; O=2,1; oriented=true"),
+    "assemble": lambda: assemble(_TREE_TOP, _TREE_BOTTOM),
+    "assemble_unoriented": lambda: assemble_unoriented(_PERM_TOP, _TREE_TOP),
+    "unoriented": lambda: assemble(_TREE_TOP, _TREE_BOTTOM).unoriented(),
+    "rotate90": lambda: rotate90(assemble(_TREE_TOP, _TREE_BOTTOM)),
+}
+
+
+class TestDerivedTables:
+    @pytest.mark.parametrize("build", BUILDERS.values(), ids=BUILDERS.keys())
+    def test_builders_store_only_the_fields(self, build):
+        """A value holds its marks alone until a column is read; the first
+        read computes the table from the marks and keeps it."""
+        v = build()
+        fields = set(type(v)._fields)
+        assert vars(v).keys() == fields
+        scan = _rows_by_scan(v)
+        if isinstance(v, HalfGrid):
+            assert v.column_row(1) == scan[0][0]
+            table, expected = "_mark_rows", tuple(r for (r,) in scan)
+        else:
+            assert v.column_rows(1) == scan[0]
+            table, expected = "_spans", tuple(scan)
+        assert vars(v).keys() == fields | {table}
+        assert vars(v)[table] == expected
+
+
 class TestCodec:
     def test_interleaving(self):
         h = HalfGrid(4, (4, 5, 8, 7), (6, 1, 2, 3))

@@ -84,6 +84,13 @@ class TestComponents:
     def test_trefoil_is_a_knot(self):
         assert components(TREFOIL_5X5)[0] == 1
 
+    def test_half_grids_are_refused(self):
+        """A half grid is open: its columns drop to the bottom edge, so no
+        walk along rows and columns comes back to its start."""
+        for h in (HalfGrid(2, (2, 3), (4, 1)), HalfGrid(1, (2,), (1,))):
+            with pytest.raises(ValueError, match="^components need a closed diagram$"):
+                components(h)
+
     def test_orientation_does_not_matter(self):
         for _, h1, h2, _, _ in compatible_pairs(4):
             g = assemble(h1, h2)

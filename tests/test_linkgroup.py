@@ -1,6 +1,7 @@
 import contextlib
 import io
 import itertools
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -44,6 +45,19 @@ SIGMA_PLUS = parse_permutation("4 2 5 3 1 6")
 SIGMA_MINUS = parse_permutation("3 1 5 2 6 4")
 # three 2x2 unknots along the diagonal: a three-component unlink
 UNLINK_3 = GridDiagram(6, (1, 2, 3, 4, 5, 6), (2, 1, 4, 3, 6, 5))
+
+
+def _seeded_grid(m, seed):
+    """A random oriented m x m grid, for sizes past what Hypothesis draws."""
+    rng = random.Random(seed)
+    x, o = list(range(1, m + 1)), list(range(1, m + 1))
+    rng.shuffle(x)
+    rng.shuffle(o)
+    for i in range(m):  # move each clash to the next row; that makes no new one
+        if o[i] == x[i]:
+            j = (i + 1) % m
+            o[i], o[j] = o[j], o[i]
+    return GridDiagram(m, tuple(x), tuple(o))
 
 
 class TestGridPresentation:
@@ -405,6 +419,7 @@ class TestRelatorLines:
 
     @settings(max_examples=150, deadline=None)
     @given(st.one_of(oriented_grids(30), unoriented_grids(30), block_sums()))
+    @example(_seeded_grid(400, 20261020))  # past the m <= 30 that Hypothesis draws
     def test_grid_lines_match_the_tuples(self, g):
         pres = grid_presentation(g)
         plain = list(grid_relator_lines(g))
