@@ -209,27 +209,24 @@ def _crossing_positions(g: GridDiagram) -> list[tuple[int, int]]:
     return list(diagram(g).positions)
 
 
-def _crossing_list(d: PlanarDiagram) -> list[Crossing]:
+def crossings(g: GridDiagram | HalfGrid) -> list[Crossing]:
+    """Signed crossings of an oriented grid, or of the tangle a half grid
+    generates: its rows run X to O and every mark drops a vertical arc to
+    the bottom edge (up at an X, down at an O)."""
+    d = diagram(g)
+    if not d.oriented:
+        raise UnorientedDiagram("crossing signs need X/O marks")
     return [Crossing(r, c, s) for (c, r), s in zip(d.positions, d.signs)]
 
 
-def crossings(g: GridDiagram) -> list[Crossing]:
-    if not g.oriented:
+half_grid_crossings = crossings
+
+
+def writhe(g: GridDiagram | HalfGrid) -> int:
+    d = diagram(g)
+    if not d.oriented:
         raise UnorientedDiagram("crossing signs need X/O marks")
-    return _crossing_list(diagram(g))
-
-
-def writhe(g: GridDiagram) -> int:
-    if not g.oriented:
-        raise UnorientedDiagram("crossing signs need X/O marks")
-    return sum(diagram(g).signs)
-
-
-def half_grid_crossings(h: HalfGrid) -> list[Crossing]:
-    """Crossings of the tangle generated by a half grid: rows run X to O and
-    every mark drops a vertical arc to the bottom edge (up at an X, down at
-    an O)."""
-    return _crossing_list(diagram(h))
+    return sum(d.signs)
 
 
 def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -284,9 +281,11 @@ def front_stats(g: GridDiagram) -> FrontStats:
     corner when its column's span ends there.  The left mark is the X
     exactly when the row runs east, so both corners of a row are down cusps
     when it runs east and up cusps when it runs west."""
-    if not g.oriented:
-        raise UnorientedDiagram("front statistics need X/O marks")
     d = diagram(g)
+    if not d.closed:
+        raise ValueError("front statistics need a closed diagram")
+    if not d.oriented:
+        raise UnorientedDiagram("front statistics need X/O marks")
     spans = d.spans
     up = down = 0
     for r, (x, o) in enumerate(d.rows, start=1):
@@ -324,9 +323,11 @@ def seifert_stats(g: GridDiagram) -> tuple[int, int]:
     A last pass over the columns links their top ends.  The circles are the
     cycles of that permutation of c + m states: O(c + m) steps, without the
     PD labels or the signs."""
-    if not g.oriented:
-        raise UnorientedDiagram("Seifert smoothing needs orientations")
     d = diagram(g)
+    if not d.closed:
+        raise ValueError("Seifert smoothing needs a closed diagram")
+    if not d.oriented:
+        raise UnorientedDiagram("Seifert smoothing needs orientations")
     positions, spans, rows = d.positions, d.spans, d.rows
     c = len(positions)
     hand = list(range(1, c + 1))

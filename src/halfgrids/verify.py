@@ -7,6 +7,9 @@ suite walks the trees once and the same-size tree pairs once, by leaf count
 and then in `enumerate_trees` order; a per-tree check belongs in
 `_check_tree`, a per-pair check in the pair loop of `verify_suite`, so each
 check sees its instances in that order and reports the first that fails.
+The pair loop stacks each pair once, oriented when the pair is compatible,
+and brackets that stack once when a bracket check takes the pair; every
+per-pair check reads that one stack and bracket.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ from .halfgrid import (
     is_compatible,
     perm_decode,
     perm_encode,
+    Permutation,
 )
-from .linkdiag import LOOP, front_stats, half_grid_crossings, seifert_stats, writhe
+from .linkdiag import LOOP, crossings, front_stats, seifert_stats, writhe
 from .linkgroup import (
     abelianization,
     grid_presentation,
@@ -141,29 +145,81 @@ def verify_suite(max_leaves: int = 5) -> Report:
     converse_hits = 0
     oriented = []  # reduced oriented pairs with n <= 4, for the closure check
 
+    stab, mirror = checks["bracket-stabilization"], checks["bracket-mirror"]
     for n in range(1, max_leaves + 1):
         halves = {t: _check_tree(checks, t) for t in enumerate_trees(n)}
-        for t1, t2 in itertools.product(halves, repeat=2):
-            a, b = halves[t1], halves[t2]
+        for (t1, (a, sa)), (t2, (b, sb)) in itertools.product(halves.items(), repeat=2):
             g = TreePair(t1, t2)
+            where = lambda: f"trees {t1}, {t2}"  # noqa: E731
             same_signs = is_oriented(g)
             checks["dual-membership-agreement"].record(
                 same_signs == is_oriented_via_points(g), lambda: f"pair {g}"
             )
+            compatible = is_compatible(a, b)
             if same_signs:
-                compatible = is_compatible(a, b)
-                checks["compatibility-from-signs"].record(
-                    compatible, lambda: f"trees {t1}, {t2}"
-                )
-                if compatible:
-                    _check_compatible_pair(checks, n, t1, t2, a, b)
+                checks["compatibility-from-signs"].record(compatible, where)
                 if n <= 4:  # reducing keeps the answer of is_oriented
                     oriented.append(reduce_pair(g))
-            elif is_compatible(a, b):
+            elif compatible:
                 converse_hits += 1
 
-            # presentation checks hold for any pair of equal size
-            _check_presentation(checks, n, t1, t2, a, b)
+            # components, presentations and the bracket read only the marks,
+            # so the oriented stack of a compatible pair serves them too
+            stack = assemble(a, b) if compatible else assemble_unoriented(a, b)
+            comps, _ = linkdiag.components(stack)
+            crossing_count = len(linkdiag.diagram(stack).positions)
+            signed = same_signs and compatible
+            # each bracket check takes the first pairs of its walk in reach
+            stabilize = (signed and crossing_count + 2 <= linkdiag.BRACKET_CAP
+                         and stab.instances < BRACKET_STAB_BUDGET)
+            reverse = (mirror.instances < BRACKET_MIRROR_BUDGET
+                       and crossing_count <= linkdiag.BRACKET_CAP)
+            bracket = linkdiag.kauffman_bracket(stack) if stabilize or reverse else None
+
+            if signed:
+                checks["writhe-zero"].record(writhe(stack) == 0, where)
+                stats = front_stats(stack)
+                checks["tb-and-rot"].record(stats.tb == -n and stats.rot == 0, where)
+                checks["parity"].record(
+                    comps % 2 == n % 2 and (stats.tb - stats.rot) % 2 == comps % 2, where
+                )
+                _, euler = seifert_stats(stack)
+                checks["seifert-euler"].record(
+                    euler == -n + 2 and crossing_count == 2 * (n - 1), where
+                )
+            if stabilize:
+                refined = assemble_unoriented(
+                    half_grid_from_tree(node(t1, LEAF)), half_grid_from_tree(node(t2, LEAF))
+                )
+                stab.record(linkdiag.kauffman_bracket(refined) == LOOP * bracket, where)
+
+            # the presentation checks hold for any pair of equal size
+            from_grid = grid_presentation(stack)
+            from_perms = half_grid_presentation(sa, sb)
+            checks["presentation-equality"].record(
+                from_grid.sorted_relators() == from_perms.sorted_relators(), where
+            )
+            # the production route, against the independently traced components
+            structural = signed_graph_abelianization(2 * n, half_grid_relation_edges(sa, sb))
+            free_rank, torsion = structural
+            checks["abelianization-free-rank"].record(
+                free_rank == comps and not torsion, where
+            )
+            # both structural routes, against the Smith normal form oracle
+            checks["abelianization-two-routes-agree"].record(
+                structural
+                == signed_graph_abelianization(2 * n, grid_relation_edges(stack))
+                == abelianization(from_perms),
+                where,
+            )
+            lengths = sorted(len(w) for w in from_perms.relators)
+            want = sorted([2 * n] + [2 * n - 2 * i for i in range(1, n) for _ in range(2)])
+            checks["relator-shape"].record(
+                len(from_perms.relators) == 2 * n - 1 and lengths == want, where
+            )
+            if reverse:
+                backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))
+                mirror.record(backward == bracket.mirror(), where)
 
     closure = checks["oriented-subgroup-closure"]
     for g in oriented[:200]:
@@ -179,8 +235,9 @@ def verify_suite(max_leaves: int = 5) -> Report:
     return Report(max_leaves, [c.result() for c in checks.values()], notes)
 
 
-def _check_tree(checks, t: Tree) -> HalfGrid:
-    """Records the per-tree checks of t; returns its half grid."""
+def _check_tree(checks, t: Tree) -> tuple[HalfGrid, Permutation]:
+    """Records the per-tree checks of t; returns its half grid and the
+    permutation `perm_encode` makes of it."""
     n = len(t.ids)
     where = lambda: f"tree {t}"  # noqa: E731
     p = partition_from_tree(t)
@@ -208,81 +265,12 @@ def _check_tree(checks, t: Tree) -> HalfGrid:
         marks[0] == "O" and marks[1:] == want, where
     )
 
-    checks["codec-roundtrip"].record(perm_decode(perm_encode(h)) == h, where)
+    sigma = perm_encode(h)
+    checks["codec-roundtrip"].record(perm_decode(sigma) == h, where)
 
     # t is compatible with itself, so h is the top half of a compatible pair
-    tops = half_grid_crossings(h)
+    tops = crossings(h)
     checks["top-half-crossings-positive"].record(
         len(tops) == n - 1 and all(x.sign == 1 for x in tops), where
     )
-    return h
-
-
-def _check_compatible_pair(checks, n, t1, t2, a, b) -> None:
-    g = assemble(a, b)
-    where = lambda: f"trees {t1}, {t2}"  # noqa: E731
-    checks["writhe-zero"].record(writhe(g) == 0, where)
-
-    stats = front_stats(g)
-    checks["tb-and-rot"].record(stats.tb == -n and stats.rot == 0, where)
-
-    comps, _ = linkdiag.components(g)
-    checks["parity"].record(
-        comps % 2 == n % 2 and (stats.tb - stats.rot) % 2 == comps % 2, where
-    )
-
-    circles, euler = seifert_stats(g)
-    crossings = len(linkdiag.diagram(g).positions)
-    checks["seifert-euler"].record(euler == -n + 2 and crossings == 2 * (n - 1), where)
-
-    stab = checks["bracket-stabilization"]
-    if crossings + 2 <= linkdiag.BRACKET_CAP and stab.instances < BRACKET_STAB_BUDGET:
-        refined = assemble_unoriented(
-            half_grid_from_tree(node(t1, LEAF)), half_grid_from_tree(node(t2, LEAF))
-        )
-        base = linkdiag.kauffman_bracket(g.unoriented())
-        checks["bracket-stabilization"].record(
-            linkdiag.kauffman_bracket(refined) == LOOP * base, where
-        )
-
-
-def _check_presentation(checks, n, t1, t2, a, b) -> None:
-    where = lambda: f"trees {t1}, {t2}"  # noqa: E731
-    g = assemble_unoriented(a, b)
-    sigmas = perm_encode(a), perm_encode(b)
-    from_grid = grid_presentation(g)
-    from_perms = half_grid_presentation(*sigmas)
-    checks["presentation-equality"].record(
-        from_grid.sorted_relators() == from_perms.sorted_relators(), where
-    )
-
-    # the production route, against the independently traced components
-    structural = signed_graph_abelianization(2 * n, half_grid_relation_edges(*sigmas))
-    free_rank, torsion = structural
-    comps, _ = linkdiag.components(g)
-    checks["abelianization-free-rank"].record(
-        free_rank == comps and not torsion, where
-    )
-    # both structural routes, against the Smith normal form oracle
-    checks["abelianization-two-routes-agree"].record(
-        structural
-        == signed_graph_abelianization(2 * n, grid_relation_edges(g))
-        == abelianization(from_perms),
-        where,
-    )
-
-    lengths = sorted(len(w) for w in from_perms.relators)
-    want = sorted([2 * n] + [2 * n - 2 * i for i in range(1, n) for _ in range(2)])
-    checks["relator-shape"].record(
-        len(from_perms.relators) == 2 * n - 1 and lengths == want, where
-    )
-
-    # the first BRACKET_MIRROR_BUDGET pairs whose bracket is in reach
-    mirror = checks["bracket-mirror"]
-    if (
-        mirror.instances < BRACKET_MIRROR_BUDGET
-        and len(linkdiag.diagram(g).positions) <= linkdiag.BRACKET_CAP
-    ):
-        backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))
-        mirror.record(backward == linkdiag.kauffman_bracket(g).mirror(), where)
-
+    return h, sigma

@@ -18,6 +18,7 @@ from halfgrids.halfgrid import (
 )
 from halfgrids.linkdiag import (
     BRACKET_CAP,
+    Crossing,
     LOOP,
     LaurentPoly,
     components,
@@ -131,6 +132,18 @@ class TestCrossings:
                 xs = half_grid_crossings(h)
                 assert len(xs) == n - 1
                 assert all(x.sign == 1 for x in xs)
+
+    def test_half_grids(self):
+        """A half grid's tangle is oriented, so its crossings carry signs;
+        it is open, so front and Seifert data are refused as components
+        are."""
+        h = HalfGrid(2, (2, 3), (4, 1))
+        assert crossings(h) == half_grid_crossings(h) == [Crossing(row=1, col=3, sign=1)]
+        assert writhe(h) == 1
+        with pytest.raises(ValueError, match="^front statistics need a closed diagram$"):
+            front_stats(h)
+        with pytest.raises(ValueError, match="^Seifert smoothing needs a closed diagram$"):
+            seifert_stats(h)
 
     def test_unoriented_rejected(self):
         with pytest.raises(UnorientedDiagram):

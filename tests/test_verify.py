@@ -1,6 +1,8 @@
+import collections
+
 import pytest
 
-from halfgrids import linkdiag, verify
+from halfgrids import halfgrid, linkdiag, verify
 from halfgrids.linkgroup import half_grid_relation_edges
 from halfgrids.thompson import parse_pair
 from halfgrids.verify import CheckResult, Report, verify_suite
@@ -35,6 +37,21 @@ class TestVerifySuite:
         assert by_name["presentation-equality"].instances == 227
         assert by_name["abelianization-two-routes-agree"].instances == 227
         assert by_name["dual-membership-agreement"].instances == 227
+
+    def test_each_pair_is_stacked_once(self, monkeypatch):
+        # one stack, one component walk and one bracket per pair, and no
+        # unoriented copy; the stabilization check adds its refined stack
+        # and the mirror check its reversed one, each with a bracket
+        calls = collections.Counter()
+        for owner, name in ((halfgrid, "_stack"), (halfgrid.GridDiagram, "unoriented"),
+                            (linkdiag, "kauffman_bracket"), (linkdiag, "components")):
+            def counted(*args, _f=getattr(owner, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counted)
+        assert verify_suite(5).ok
+        assert calls == {"_stack": 227 + 227 + 41, "kauffman_bracket": 227 + 227 + 41,
+                         "components": 227}
 
     def test_bounds(self):
         with pytest.raises(ValueError):
