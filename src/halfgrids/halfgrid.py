@@ -167,19 +167,18 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
 
     An interval [k/2^m, (k+1)/2^m] is its heap id (1 << m) | k, the form
     in which the tree holds its leaves: the parent is id >> 1, the sibling
-    id ^ 1, and the sign is '+' when the id has an odd number of 1-bits (k
-    an even number of them).  The spanning
-    intervals in midpoint order are the in-order walk: each leaf, then the
-    caret whose midpoint is the leaf's right end, found by dropping the
-    trailing 1-bits of the leaf's id and one more bit.  They fill columns 2
-    to 2n, and column 1 takes id 0, a stand-in sibling for the root (id 1)
-    that places the default O.  Sorted by id, the columns fall into sibling
-    pairs, ids 2j and 2j + 1, each one positive interval (a row's X) and
-    its negative sibling (the row's O).  Rows are the pairs deepest first,
-    k ascending within a depth, which a stable sort of the id-ordered pairs
-    by depth gives.  The marks are valid by construction and are not
-    re-checked.  Trees deeper than DEPTH_CAP are refused, as their
-    partitions are.
+    id ^ 1, and the sign is '+' when the id has an odd number of 1-bits.
+    The spanning intervals in midpoint order are the in-order walk: each
+    leaf, then the caret whose midpoint is the leaf's right end, found by
+    dropping the trailing 1-bits of the leaf's id and one more bit.  They
+    fill columns 2 to 2n, and column 1 takes id 0, a stand-in sibling for
+    the root (id 1) that places the default O.  One stable sort of the
+    columns by depth (an id's bit length; the stand-in takes the root's,
+    1), deepest first, gives the rows: within a depth, midpoint order is
+    ascending id, so consecutive columns are the sibling pairs 2j, 2j + 1,
+    a positive interval (the row's X) and its negative sibling (the O).
+    The marks are valid by construction and are not re-checked.  Trees
+    deeper than DEPTH_CAP are refused, as their partitions are.
     """
     leaves = t.ids
     if max(leaves).bit_length() - 1 > DEPTH_CAP:
@@ -189,15 +188,17 @@ def half_grid_from_tree(t: Tree) -> HalfGrid:
     ids[2::2] = leaves
     # the last leaf's id is all 1-bits: no caret follows it
     ids[3::2] = [h >> (h ^ (h + 1)).bit_length() for h in leaves[:-1]]
-    by_id = sorted(range(1, 2 * n + 1), key=ids.__getitem__)
-    evens, odds = by_id[0::2], by_id[1::2]
-    depth = [ids[c].bit_length() for c in odds]
+    depth = list(map(int.bit_length, ids))
+    depth[1] = 1
+    rows = sorted(range(1, 2 * n + 1), key=depth.__getitem__, reverse=True)
     x_cols, o_cols = [], []
-    for i in sorted(range(n), key=depth.__getitem__, reverse=True):
-        a, b = evens[i], odds[i]
-        x, o = (a, b) if ids[a].bit_count() & 1 else (b, a)
-        x_cols.append(x)
-        o_cols.append(o)
+    for a, b in zip(rows[0::2], rows[1::2]):  # ids 2j, 2j + 1
+        if ids[a].bit_count() & 1:
+            x_cols.append(a)
+            o_cols.append(b)
+        else:
+            x_cols.append(b)
+            o_cols.append(a)
     return _unchecked(HalfGrid, n=n, x_cols=tuple(x_cols), o_cols=tuple(o_cols))
 
 

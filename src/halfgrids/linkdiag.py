@@ -35,7 +35,8 @@ _END = {"W": 0, "E": 1, "S": 2, "N": 3}
 
 
 class PlanarDiagram:
-    """The planar diagram of a grid or half grid.
+    """The planar diagram of a grid or half grid, which every invariant and
+    the SVG renderer read; `render_ascii` reads only the marks.
 
     Row r runs between the two marks ``rows[r - 1]``; column c runs between
     the rows ``spans[c - 1]``, where row 0 is the bottom edge that the
@@ -43,9 +44,8 @@ class PlanarDiagram:
     in O(m) steps for m columns.  Everything else is computed on first use
     and kept: the crossings by one sweep of O(m + c) interpreted steps for c
     crossings plus C-level byte scans over each row's width (O(m * depth)
-    bytes on a tree stack, O(m^2) at worst), so a command that only renders
-    text never looks for them (`render_ascii` takes O(m) interpreted steps
-    and copies its O(m^2) characters in bulk).
+    bytes on a tree stack, O(m^2) at worst), when an invariant or the SVG
+    renderer first reads them.
     Crossings are numbered row by row, left to right, in ``positions``;
     ``row_crossings`` and ``col_crossings`` list their numbers per row (left
     to right) and per column (bottom to top).  An oriented diagram keeps
@@ -534,26 +534,25 @@ def render_ascii(obj: GridDiagram | HalfGrid, ascii_only: bool = False) -> str:
     """Character rendering, one cell per grid square, top row first.
     Vertical strands break under horizontal ones at crossings.
 
-    One line of the open columns goes down the rows: a column opens below
-    its top mark and closes at its bottom mark.  Each row is a copy of that
-    line with its horizontal run and two marks written over it, so the
-    interpreted work is O(m) for m columns and the O(m^2) cells are copied
-    in bulk."""
-    d = diagram(obj)
-    spans = d.spans
-    marks = b"XO" if d.oriented else b"**"
-    run = b"-" * d.width
-    line = bytearray(b" " * d.width)
+    It reads only the marks.  One line of the open columns goes down the
+    rows, each row a copy of it with its run and marks written over; then
+    the row flips its marks' cells between " " and "|", as the first mark
+    met going down opens a column and a grid column's second closes it:
+    O(m) interpreted steps for m columns, the O(m^2) cells copied in bulk."""
+    half = isinstance(obj, HalfGrid)
+    width = 2 * obj.n if half else obj.size
+    marks = b"XO" if half or obj.oriented else b"**"
+    run = b"-" * width
+    line = bytearray(b" " * width)
     lines = []
-    for r in range(d.height, 0, -1):
-        x, o = d.rows[r - 1]
+    for x, o in zip(reversed(obj.x_cols), reversed(obj.o_cols)):
         lo, hi = (x, o) if x < o else (o, x)
         row = line[:]
-        row[lo - 1:hi] = run[:hi - lo + 1]  # over: unbroken
+        row[lo - 1:hi] = run[lo - 1:hi]  # over: unbroken
         row[x - 1], row[o - 1] = marks
         lines.append(row)
-        line[x - 1] = 32 if spans[x - 1][0] == r else 124  # " " or "|"
-        line[o - 1] = 32 if spans[o - 1][0] == r else 124
+        line[x - 1] ^= 92  # ord(" ") ^ ord("|")
+        line[o - 1] ^= 92
     text = b"\n".join(lines).decode()
     if ascii_only:
         return text

@@ -37,6 +37,7 @@ COMMANDS = {
     "invariants-unoriented": ("invariants", "--unoriented"),
     "render": ("render",),
     "render-ascii": ("render", "--ascii-only"),
+    "render-unoriented-ascii": ("render", "--unoriented", "--ascii-only"),
     "render-svg": ("render", "--out", "x.svg"),
     "export": ("export",),
     "export-unoriented": ("export", "--unoriented"),

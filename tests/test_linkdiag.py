@@ -5,6 +5,8 @@ from collections import defaultdict
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from halfgrids import linkdiag
+from halfgrids.cli import main
 from halfgrids.errors import TooManyCrossings, UnorientedDiagram
 from halfgrids.halfgrid import (
     GridDiagram,
@@ -337,6 +339,45 @@ class TestRendering:
         assert one.count('x1="60" y1=') >= 2
         render_svg(TREFOIL_5X5)  # unoriented path also renders
         render_svg(HalfGrid(2, (2, 3), (4, 1)))
+
+
+class TestAsciiReadsOnlyMarks:
+    """`render_ascii` builds no planar-diagram record and reads no column
+    span; the SVG renderer still builds the record for its gaps."""
+
+    @pytest.fixture
+    def reads(self, monkeypatch):
+        """The objects passed to `diagram`, `column_rows` or `column_row`."""
+        seen = []
+
+        def counted(real):
+            def wrapper(obj, *args):
+                seen.append(obj)
+                return real(obj, *args)
+            return wrapper
+
+        monkeypatch.setattr(linkdiag, "diagram", counted(linkdiag.diagram))
+        monkeypatch.setattr(GridDiagram, "column_rows", counted(GridDiagram.column_rows))
+        monkeypatch.setattr(HalfGrid, "column_row", counted(HalfGrid.column_row))
+        return seen
+
+    def test_render_command(self, reads, capsys):
+        assert main(["render", "--ascii-only", "--trees", "((..).)|((..).)"]) == 0
+        assert main(["render", "--unoriented", "--trees", "((..).)|(.(..))"]) == 0
+        assert capsys.readouterr().out and reads == []
+
+    @pytest.mark.parametrize("obj", [EXAMPLE_4X4.unoriented(), HalfGrid(2, (2, 3), (4, 1))],
+                             ids=["unoriented-grid", "half-grid"])
+    def test_render_ascii(self, reads, obj):
+        render_ascii(obj, ascii_only=True)
+        render_ascii(obj)
+        assert reads == []
+        assert not {"_diagram", "_spans", "_mark_rows"} & set(obj.__dict__)
+
+    def test_svg_builds_the_record(self, reads, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert main(["render", "--out", "x.svg", "--trees", "((..).)|((..).)"]) == 0
+        assert reads and (tmp_path / "x.svg").exists()
 
 
 _SVG_LINE = re.compile(r'<line x1="(-?\d+)" y1="(-?\d+)" x2="(-?\d+)" y2="(-?\d+)"')
