@@ -261,7 +261,7 @@ def spanning_intervals(p: SdPartition) -> tuple[SdInterval, ...]:
     iv: SdInterval | None = UNIT
     while iv is not None or stack:
         while iv is not None:
-            splits = midpoint(iv) in bps
+            splits = iv.m < DEPTH_CAP and midpoint(iv) in bps  # no breakpoint is deeper
             stack.append((iv, splits))
             iv = SdInterval(2 * iv.k, iv.m + 1) if splits else None
         iv, splits = stack.pop()
@@ -280,5 +280,5 @@ def spanning_intervals_by_pairs(p: SdPartition) -> tuple[SdInterval, ...]:
                 found.append(SdInterval.from_endpoints(bps[i], bps[j]))
             except ValueError:
                 continue
-    found.sort(key=midpoint)
+    found.sort(key=lambda iv: iv.lo + iv.hi)  # twice the midpoint, within DEPTH_CAP
     return tuple(found)

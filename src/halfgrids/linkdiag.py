@@ -49,9 +49,11 @@ class PlanarDiagram:
     Crossings are numbered row by row, left to right, in ``positions``;
     ``row_crossings`` and ``col_crossings`` list their numbers per row (left
     to right) and per column (bottom to top).  An oriented diagram keeps
-    each crossing's sign in ``signs``.  Cutting a closed diagram at its
-    crossings leaves arcs, labelled by `arcs`; only the bracket, its sweep
-    order and the SVG renderer read those labels or ``col_crossings``.
+    each crossing's sign in ``signs``.  A closed diagram's components are
+    one walk along its rows and columns, `cycles`; its crossings cut them
+    into arcs, which `arcs` labels in a second O(c + m) pass over that walk.
+    Only the bracket, its sweep order and the SVG renderer read those labels
+    or ``col_crossings``.
     """
 
     def __init__(self, obj: GridDiagram | HalfGrid):
@@ -102,62 +104,71 @@ class PlanarDiagram:
         return tuple([1 if east[r] == north[c] else -1 for c, r in self.positions])
 
     @cached_property
+    def cycles(self) -> tuple[tuple[int, ...], ...]:
+        """Each component's columns in travel order, from the lower mark of
+        its smallest column along that mark's row, sorted by that column:
+        one O(m) walk, which `components` and `arcs` both read.  An open
+        diagram has no cycles."""
+        if not self.closed:
+            return ()
+        seen = [False] * (self.width + 1)
+        cycles = []
+        for start in range(1, self.width + 1):
+            if seen[start]:
+                continue
+            cols = []
+            c, r = start, self.spans[start - 1][0]
+            while True:
+                cols.append(c)
+                seen[c] = True
+                x, o = self.rows[r - 1]  # step along the row
+                c = o if c == x else x
+                lo, hi = self.spans[c - 1]  # then along the column
+                r = hi if r == lo else lo
+                if c == start and r == self.spans[start - 1][0]:
+                    break
+            cycles.append(tuple(cols))
+        return tuple(cycles)
+
+    @cached_property
     def arcs(self) -> tuple[tuple[tuple[int, int, int, int], ...], int, int]:
         """(pd, arc count, free loops) of a closed diagram: pd[k] labels the
         arcs at the W, E, S and N ends of crossing k, as a PD code does, and
         the free loops are the components without a crossing.
 
-        A crossing has four end stubs and a mark two, one towards its row
-        and one towards its column.  A strand piece links two stubs (`link`)
-        and a mark turns the corner between its own two (stub ^ 1).  A walk
-        from a crossing end through the marks ends at another crossing end:
-        that is one arc.  Marks no walk reaches lie on components without
-        crossings.
+        A second pass over `cycles`, O(c + m) steps: each step from a column
+        to the next passes the crossings of its row, then those of the next
+        column, in travel order.  A passage ends the current arc at its
+        entry end and starts a new one at its exit end; the last arc of a
+        cycle runs on into its first.  The labels are then renumbered by
+        their lowest end, as a PD code lists them.
         """
         if not self.closed:
             raise ValueError("arcs need a closed diagram")
-        W, E, S, N = (_END[e] for e in "WESN")
-        ends = 4 * len(self.positions)
-        # Within a row, crossing k's E end meets crossing k + 1's W end; the
-        # ends of each row are set below.  Row r's marks own the stubs
-        # ends + 4(r - 1) + 0..3: row then column stub of the left mark, then
-        # of the right.
-        link = [0] * ends
-        link[E:ends - 4:4] = range(W + 4, ends, 4)
-        link[W + 4::4] = range(E, ends - 4, 4)
-        link += [0] * (4 * self.height)
-        right = [x if x > o else o for x, o in self.rows]
-        for left, ks in zip(range(ends, len(link), 4), self.row_crossings):
-            a, b = (4 * ks.start + W, 4 * ks[-1] + E) if ks else (left + 2, left)
-            link[left], link[a] = a, left
-            link[left + 2], link[b] = b, left + 2
-        for c, ((lo, hi), ks) in enumerate(zip(self.spans, self.col_crossings), start=1):
-            s = ends + 4 * lo - 3 + 2 * (c == right[lo - 1])  # column stub of the low mark
-            for k in ks:
-                link[s], link[4 * k + S] = 4 * k + S, s
-                s = 4 * k + N
-            top = ends + 4 * hi - 3 + 2 * (c == right[hi - 1])
-            link[s], link[top] = top, s
-
-        seen = bytearray(len(link))
-        label = [-1] * ends
-        arcs = 0
-        for e in range(ends):
-            if label[e] < 0:
-                s = link[e]
-                while s >= ends:
-                    seen[s] = seen[s ^ 1] = 1
-                    s = link[s ^ 1]
-                label[e] = label[s] = arcs
-                arcs += 1
-        loops = 0
-        for start in range(ends, len(link), 2):
-            s = start
-            loops += not seen[s]
-            while not seen[s]:
-                seen[s] = seen[s ^ 1] = 1
-                s = link[s ^ 1]
-        return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), arcs, loops
+        spans, row_ks, col_ks = self.spans, self.row_crossings, self.col_crossings
+        label = [0] * (4 * len(self.positions))
+        arcs = loops = 0
+        for cols in self.cycles:
+            first, out, r = arcs, -1, spans[cols[0] - 1][0]
+            for c, n in zip(cols, cols[1:] + cols[:1]):
+                lo, hi = spans[n - 1]
+                # entry and exit ends (W, E, S, N = 0..3) and crossings in
+                # travel order: along row r, then up or down column n
+                for a, b, ks in ((0, 1, row_ks[r - 1]) if c < n else (1, 0, row_ks[r - 1][::-1]),
+                                 (2, 3, col_ks[n - 1]) if r == lo else (3, 2, col_ks[n - 1][::-1])):
+                    for k in ks:
+                        label[4 * k + a] = arcs
+                        arcs += 1
+                        out = 4 * k + b
+                        label[out] = arcs
+                r = hi if r == lo else lo
+            if out < 0:
+                loops += 1
+            else:
+                label[out] = first
+        first_end: dict[int, int] = {}  # label -> its rank by lowest end
+        label = [first_end.setdefault(a, len(first_end)) for a in label]
+        return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), len(first_end), loops
 
 
 def _sweep(rows, spans) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -230,32 +241,13 @@ def writhe(g: GridDiagram | HalfGrid) -> int:
 
 
 def components(g: GridDiagram) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """Component count plus the partition of columns into traced cycles.
-
-    Cycles are listed with their smallest column first, sorted by it.
-    A half grid is open, so it has no cycles and is refused.
-    """
+    """Component count plus the partition of columns into traced cycles,
+    `PlanarDiagram.cycles`: each lists its smallest column first, and they
+    are sorted by it.  A half grid is open, so it has none and is refused."""
     d = diagram(g)
     if not d.closed:
         raise ValueError("components need a closed diagram")
-    seen = [False] * (d.width + 1)
-    cycles = []
-    for start in range(1, d.width + 1):
-        if seen[start]:
-            continue
-        cols = []
-        c, r = start, d.spans[start - 1][0]
-        while True:
-            cols.append(c)
-            seen[c] = True
-            x, o = d.rows[r - 1]  # step along the row
-            c = o if c == x else x
-            lo, hi = d.spans[c - 1]  # then along the column
-            r = hi if r == lo else lo
-            if c == start and r == d.spans[start - 1][0]:
-                break
-        cycles.append(tuple(cols))
-    return len(cycles), tuple(cycles)
+    return len(d.cycles), d.cycles
 
 
 class FrontStats(Frozen):

@@ -727,6 +727,30 @@ def test_crossings_are_found_once_and_only_when_read(monkeypatch, argv, sweeps):
     assert code == 0 and len(calls) == sweeps
 
 
+def test_components_and_arcs_share_one_walk(monkeypatch):
+    """`invariants` prints the cycles and a bracket summed over the PD arcs;
+    both read the one cached component walk.  A half grid's arcs are still
+    refused."""
+    walks = []
+    cycles = linkdiag.PlanarDiagram.__dict__["cycles"]
+    walk = cycles.func
+
+    def counted(d):
+        walks.append(d)
+        return walk(d)
+
+    monkeypatch.setattr(cycles, "func", counted)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["invariants", "--trees", "((.(..))(.(.(..))))|(.((.(..))(.(..))))"])
+    assert code == 0
+    assert "components=3" in out.getvalue() and "crossings=12" in out.getvalue()
+    assert "bracket=1*A^(-4) + 2*A^0 + 1*A^4" in out.getvalue()
+    assert len(walks) == 1
+    with pytest.raises(ValueError, match="^arcs need a closed diagram$"):
+        diagram(HalfGrid(2, (2, 3), (4, 1))).arcs
+
+
 def test_invariants_above_the_bracket_cap_build_no_arc_labels(monkeypatch):
     """The bracket is skipped above its cap, and nothing else `invariants`
     prints reads the PD labels or the per-column grouping."""

@@ -5,7 +5,13 @@ import re
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from halfgrids.dyadic import DEPTH_CAP, parse_partition, sign
+from halfgrids.dyadic import (
+    DEPTH_CAP,
+    parse_partition,
+    sign,
+    spanning_intervals,
+    spanning_intervals_by_pairs,
+)
 from halfgrids.errors import (
     DepthExceeded,
     Incompatible,
@@ -39,7 +45,7 @@ def half_grids_from_trees(n):
 
 
 @st.composite
-def split_trees(draw, max_leaves=400, max_depth=DEPTH_CAP - 1):
+def split_trees(draw, max_leaves=400, max_depth=DEPTH_CAP):
     """Grow a tree from one leaf by up to n - 1 splits, none below
     max_depth, for n >= 10 (every smaller tree is checked exhaustively).
     With the drawn probability a split takes a child of the leaf split
@@ -92,8 +98,16 @@ class TestScan:
         def left_comb(depth):
             return Tree((depth,) + tuple(range(depth, 0, -1)))
 
+        def right_comb(depth):
+            return Tree(tuple(range(1, depth + 1)) + (depth,))
+
         at_cap = left_comb(DEPTH_CAP)
         assert half_grid_from_tree(at_cap).n == DEPTH_CAP + 1
+        assert half_grid_from_partition(partition_from_tree(at_cap)) == half_grid_from_tree(at_cap)
+        for comb in (at_cap, right_comb(DEPTH_CAP)):
+            p = partition_from_tree(comb)
+            assert spanning_intervals(p) == spanning_intervals_by_pairs(p)
+            assert len(spanning_intervals(p)) == 2 * DEPTH_CAP + 1
         with pytest.raises(DepthExceeded, match="tree too deep"):
             half_grid_from_tree(left_comb(DEPTH_CAP + 1))
 
