@@ -12,6 +12,7 @@ import os
 import sys
 from functools import lru_cache
 
+from . import halfgrid
 from .errors import HalfGridError, Incompatible, ParseError, SizeMismatch
 from .halfgrid import (
     GridDiagram, HalfGrid, assemble, assemble_unoriented, format_grid, format_half_grid,
@@ -67,14 +68,12 @@ def cmd_build(args) -> int:
         print(format_grid(_grid(args)))
         return 0
     plus, minus = _half_grids(args)
-    if is_compatible(plus, minus):
-        g = assemble(plus, minus)
-    elif args.unoriented:
-        g = assemble_unoriented(plus, minus)
-    else:
+    compatible = is_compatible(plus, minus)
+    if not (compatible or args.unoriented):
         raise Incompatible(
             "half grids are not compatible; pass --unoriented to stack anyway"
         )
+    g = halfgrid._stack(plus, minus, oriented=compatible)
     print(f"plus:  {format_half_grid(plus)}")
     print(f"minus: {format_half_grid(minus)}")
     print(f"grid:  {format_grid(g)}")

@@ -422,9 +422,6 @@ _B_PAIRS = (("N", "E"), ("S", "W"))
 _A_ENDS = tuple((_END[p], _END[q]) for p, q in _A_PAIRS)
 _B_ENDS = tuple((_END[p], _END[q]) for p, q in _B_PAIRS)
 
-_LOOP_POWERS = tuple(tuple(p.coeffs.items()) for p in (LaurentPoly({0: 1}), LOOP, LOOP * LOOP))
-
-
 def _splice(mate, arcs, ends) -> int:
     """Smooth one crossing with PD arcs `arcs` by joining the ends paired in
     `ends`; returns the loops that close.
@@ -486,38 +483,81 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     multiplies it by A or A^-1 and by d per loop it closes; the arcs the
     crossing finished are reset to mate[x] = x, so equal pairings merge.
     Each free loop multiplies the sum by d, and one exact division by d
-    normalizes it.  The cost is exponential in the frontier width, not in c."""
+    normalizes it.  The cost is exponential in the frontier width, not in c.
+
+    A state's polynomial is one int of signed B-bit digits, B = 3c + 3:
+    after k crossings digit e is the coefficient of A^(e - 5k).  A smoothing
+    of shift s = +-1 that closes L <= 2 loops multiplies by
+    (-1)^L A^(s + 5 - 2L) (1 + A^4)^L, with the uniform A^5 keeping every
+    digit index >= 0, so it is one to three shifts and adds, never a
+    general product.  Each state feeds two smoothings whose factors have
+    absolute coefficient sum at most 4, so the coefficients' absolute sum
+    over all states grows at most 8-fold per crossing: every coefficient
+    is at most 2^(3c) < 2^(B - 1), and equal pairings merge by adding ints.
+    The last state is decoded once into a `LaurentPoly`."""
     c = len(_crossing_positions(g))
     if c > BRACKET_CAP:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
     d = diagram(g)
     pd, arc_count, free_loops = d.arcs
-    met = [0] * arc_count  # ends of each arc at smoothed crossings
-    states: dict[bytes, dict[int, int]] = {bytes(range(arc_count)): {0: 1}}
-    for k in _sweep_order(d)[0]:
+    order = _sweep_order(d)[0]
+    last = [0] * arc_count  # the crossing that smooths each arc's second end
+    for k in order:
+        for x in pd[k]:
+            last[x] = k
+    width = 3 * c + 3
+    quad = 4 * width  # the shift that multiplies by A^4
+    # bit shifts of A^(s + 5 - 2L), by the loops L closed, for s = 1 and -1
+    smoothings = ((_A_ENDS, tuple((6 - 2 * loops) * width for loops in range(3))),
+                  (_B_ENDS, tuple((4 - 2 * loops) * width for loops in range(3))))
+    states: dict[bytes, int] = {bytes(range(arc_count)): 1}
+    for k in order:
         arcs = pd[k]
-        for x in arcs:
-            met[x] += 1
-        done = {x for x in arcs if met[x] == 2}
-        merged: dict[bytes, dict[int, int]] = {}
+        done = {x for x in arcs if last[x] == k}
+        merged: dict[bytes, int] = {}
         for mate, poly in states.items():
-            for shift, ends in ((1, _A_ENDS), (-1, _B_ENDS)):
+            for ends, shifts in smoothings:
                 m = bytearray(mate)
-                terms = _LOOP_POWERS[_splice(m, arcs, ends)]
+                loops = _splice(m, arcs, ends)
                 for x in done:
                     m[x] = x
-                out = merged.setdefault(bytes(m), {})
-                for de, dc in terms:
-                    for e, coef in poly.items():
-                        out[e + de + shift] = out.get(e + de + shift, 0) + coef * dc
+                if loops == 0:
+                    term = poly << shifts[0]
+                elif loops == 1:
+                    term = -((poly + (poly << quad)) << shifts[1])
+                else:
+                    term = poly + (poly << quad)
+                    term = (term + (term << quad)) << shifts[2]
+                key = bytes(m)
+                merged[key] = merged.get(key, 0) + term
         states = merged
-    total = LaurentPoly(*states.values())  # one state is left: every arc is finished
+    (packed,) = states.values()  # one state is left: every arc is finished
+    total = LaurentPoly(_unpack(packed, width, -5 * c))
     for _ in range(free_loops):
         total = total * LOOP
     p, q = total.coeffs, {}  # total = d * q: p[e] = -q[e - 2] - q[e + 2], top down
     for e in range(max(p), min(p) + 2, -2):
         q[e - 2] = -p.get(e, 0) - q.get(e + 2, 0)
     return LaurentPoly(q)
+
+
+def _unpack(packed: int, width: int, low: int) -> dict[int, int]:
+    """{low + i: digit i} for the nonzero signed width-bit digits of packed,
+    each of absolute value below 2^(width - 1).  The zero digits below the
+    next nonzero one are skipped by its lowest set bit."""
+    coeffs = {}
+    mask, half = (1 << width) - 1, 1 << (width - 1)
+    e = low
+    while packed:
+        zeros = ((packed & -packed).bit_length() - 1) // width
+        packed >>= zeros * width
+        digit = packed & mask
+        if digit >= half:
+            digit -= 1 << width
+        coeffs[e + zeros] = digit
+        packed = (packed - digit) >> width
+        e += zeros + 1
+    return coeffs
 
 
 # --- rendering ---------------------------------------------------------------

@@ -8,20 +8,21 @@ and then in `enumerate_trees` order; a per-tree check belongs in
 `_check_tree`, a per-pair check in the pair loop of `verify_suite`, so each
 check sees its instances in that order and reports the first that fails.
 The pair loop stacks each pair once, oriented when the pair is compatible,
-and brackets that stack once when a bracket check takes the pair; every
-per-pair check reads that one stack and bracket.
+and every per-pair check reads that one stack.  The stack of (t2, t1) is
+the reversed stack that `bracket-mirror` reads at (t1, t2), so each
+distinct stack is bracketed at most once: the first of the two pairs to
+need it brackets both and keeps them until the other pair reads them.
 """
 
 from __future__ import annotations
 
 import itertools
 
-from . import linkdiag
+from . import halfgrid, linkdiag
 from .dyadic import sign, spanning_intervals, spanning_intervals_by_pairs
 from .errors import Frozen
 from .halfgrid import (
     HalfGrid,
-    assemble,
     assemble_unoriented,
     half_grid_from_partition,
     half_grid_from_tree,
@@ -148,6 +149,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
     stab, mirror = checks["bracket-stabilization"], checks["bracket-mirror"]
     for n in range(1, max_leaves + 1):
         halves = {t: _check_tree(checks, t) for t in enumerate_trees(n)}
+        brackets = {}  # by pair, each kept until the reversed pair reads it
         for (t1, (a, sa)), (t2, (b, sb)) in itertools.product(halves.items(), repeat=2):
             g = TreePair(t1, t2)
             where = lambda: f"trees {t1}, {t2}"  # noqa: E731
@@ -165,7 +167,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
 
             # components, presentations and the bracket read only the marks,
             # so the oriented stack of a compatible pair serves them too
-            stack = assemble(a, b) if compatible else assemble_unoriented(a, b)
+            stack = halfgrid._stack(a, b, oriented=compatible)  # a.n == b.n
             comps, _ = linkdiag.components(stack)
             crossing_count = len(linkdiag.diagram(stack).positions)
             signed = same_signs and compatible
@@ -174,7 +176,10 @@ def verify_suite(max_leaves: int = 5) -> Report:
                          and stab.instances < BRACKET_STAB_BUDGET)
             reverse = (mirror.instances < BRACKET_MIRROR_BUDGET
                        and crossing_count <= linkdiag.BRACKET_CAP)
-            bracket = linkdiag.kauffman_bracket(stack) if stabilize or reverse else None
+            if stabilize or reverse:
+                bracket = brackets.pop((t1, t2), None)
+                if bracket is None:
+                    bracket = linkdiag.kauffman_bracket(stack)
 
             if signed:
                 checks["writhe-zero"].record(writhe(stack) == 0, where)
@@ -218,7 +223,11 @@ def verify_suite(max_leaves: int = 5) -> Report:
                 len(from_perms.relators) == 2 * n - 1 and lengths == want, where
             )
             if reverse:
-                backward = linkdiag.kauffman_bracket(assemble_unoriented(b, a))
+                backward = bracket if t1 == t2 else brackets.pop((t2, t1), None)
+                if backward is None:  # (t2, t1) comes later and reads both
+                    backward = brackets[t2, t1] = linkdiag.kauffman_bracket(
+                        assemble_unoriented(b, a))
+                    brackets[t1, t2] = bracket
                 mirror.record(backward == bracket.mirror(), where)
 
     closure = checks["oriented-subgroup-closure"]

@@ -626,6 +626,44 @@ def test_bracket_matches_row_sweep(g):
     assert kauffman_bracket(g) == oracle_row_sweep_bracket(g)
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_self_stack_at_the_cap_is_the_unlink(seed):
+    """A 13-leaf tree stacked on itself has 24 crossings, the bracket's cap,
+    and is the 13-component unlink: its bracket d^12 spans 13 packed digits,
+    up to the middle coefficient C(12, 6) = 924."""
+    h = half_grid_from_tree(random_tree(13, random.Random(seed)))
+    g = assemble(h, h)
+    assert len(_crossing_positions(g)) == linkdiag.BRACKET_CAP == 24
+    assert components(g)[0] == 13 and writhe(g) == 0
+    assert kauffman_bracket(g) == power(LOOP, 12)
+
+
+def random_perm_stack(crossings, rng):
+    """Two random permutation half grids with 6 or 7 rows, stacked
+    unoriented, redrawn until the stack has exactly `crossings` crossings."""
+    while True:
+        n = rng.choice((6, 7))
+        halves = [perm_decode(Permutation(tuple(rng.sample(range(1, 2 * n + 1), 2 * n))))
+                  for _ in range(2)]
+        g = assemble_unoriented(*halves)
+        if len(_crossing_positions(g)) == crossings:
+            return g
+
+
+@pytest.mark.parametrize("crossings", [23, 24])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_bracket_at_the_cap_matches_row_sweep_and_mirrors(crossings, seed):
+    """Near the cap, past the reach of the property above, on permutation
+    stacks; reversing the columns draws the mirror image."""
+    g = random_perm_stack(crossings, random.Random(seed))
+    bracket = kauffman_bracket(g)
+    assert bracket == oracle_row_sweep_bracket(g)
+    m = g.size
+    reversed_columns = GridDiagram(m, tuple(m + 1 - x for x in g.x_cols),
+                                   tuple(m + 1 - o for o in g.o_cols), oriented=False)
+    assert kauffman_bracket(reversed_columns) == bracket.mirror()
+
+
 def test_bracket_matches_state_sum_on_every_small_tree_stack():
     """All 227 tree pairs with at most 5 leaves (c <= 8), stacked unoriented."""
     pairs = 0

@@ -39,9 +39,11 @@ class TestVerifySuite:
         assert by_name["dual-membership-agreement"].instances == 227
 
     def test_each_pair_is_stacked_once(self, monkeypatch):
-        # one stack, one component walk and one bracket per pair, and no
-        # unoriented copy; the stabilization check adds its refined stack
-        # and the mirror check its reversed one, each with a bracket
+        # one stack and one component walk per pair, and no unoriented copy;
+        # the stabilization check adds its refined stack with its bracket,
+        # and the mirror check one reversed stack per off-diagonal pair
+        # {t1, t2} (1 + 10 + 91), so each of the 227 distinct stacks is
+        # bracketed once
         calls = collections.Counter()
         for owner, name in ((halfgrid, "_stack"), (halfgrid.GridDiagram, "unoriented"),
                             (linkdiag, "kauffman_bracket"), (linkdiag, "components")):
@@ -50,8 +52,59 @@ class TestVerifySuite:
                 return _f(*args, **kwargs)
             monkeypatch.setattr(owner, name, counted)
         assert verify_suite(5).ok
-        assert calls == {"_stack": 227 + 227 + 41, "kauffman_bracket": 227 + 227 + 41,
+        assert calls == {"_stack": 227 + 102 + 41, "kauffman_bracket": 227 + 41,
                          "components": 227}
+
+    def test_each_bracket_check_reads_the_bracket_of_its_stack(self, monkeypatch):
+        # brackets are kept from pair to pair, so check that each check reads
+        # the bracket of the pair's own stack (the grid its component walk
+        # read) and the mirror check that of the reversed stack, whose rows
+        # are the stack's in reverse order with X and O swapped
+        owner = {}  # id of each bracket made -> the marks of its grid
+        made = []  # keeps every bracket alive, so that no id is reused
+        mirrored = set()
+        current = []
+        reads = collections.Counter()
+        bracket, components = linkdiag.kauffman_bracket, linkdiag.components
+        poly = linkdiag.LaurentPoly
+        mirror, mul, eq = poly.mirror, poly.__mul__, poly.__eq__
+
+        def spy_bracket(g):
+            p = bracket(g)
+            made.append(p)
+            owner[id(p)] = (g.x_cols, g.o_cols)
+            return p
+
+        def spy_components(g):
+            current[:] = [(g.x_cols, g.o_cols)]
+            return components(g)
+
+        def spy_mirror(p):
+            assert owner[id(p)] == current[0]
+            reads["bracket-mirror"] += 1
+            m = mirror(p)
+            made.append(m)
+            mirrored.add(id(m))
+            return m
+
+        def spy_mul(p, q):
+            if id(q) in owner:  # LOOP * the pair's bracket
+                assert owner[id(q)] == current[0]
+                reads["bracket-stabilization"] += 1
+            return mul(p, q)
+
+        def spy_eq(p, q):
+            if id(q) in mirrored:  # the reversed stack's bracket == bracket.mirror()
+                x_cols, o_cols = current[0]
+                assert owner[id(p)] == (o_cols[::-1], x_cols[::-1])
+            return eq(p, q)
+
+        monkeypatch.setattr(linkdiag, "kauffman_bracket", spy_bracket)
+        monkeypatch.setattr(linkdiag, "components", spy_components)
+        for name, spy in (("mirror", spy_mirror), ("__mul__", spy_mul), ("__eq__", spy_eq)):
+            monkeypatch.setattr(poly, name, spy)
+        assert verify_suite(5).ok
+        assert reads == {"bracket-mirror": 227, "bracket-stabilization": 41}
 
     def test_bounds(self):
         with pytest.raises(ValueError):
