@@ -444,31 +444,34 @@ def _splice(mate, arcs, ends) -> int:
     return loops
 
 
-def _sweep_order(d: PlanarDiagram) -> tuple[range | list[int], int]:
-    """(order, width): the crossing order with the narrower peak frontier,
-    row order (the record's) or column order (`col_crossings`, columns left
-    to right, each bottom to top), and that peak.
+def _sweep_order(d: PlanarDiagram) -> tuple[range | list[int], int, list[list[int]]]:
+    """(order, width, finished): the crossing order with the narrower peak
+    frontier, row order (the record's) or column order (`col_crossings`,
+    columns left to right, each bottom to top), that peak, and finished[k],
+    the arcs whose second PD end the order meets at crossing k.
 
     The frontier after a prefix of the order is the set of arcs with
     exactly one end at a crossing in the prefix; its peak size bounds the
     pairings the bracket keeps.  A horizontal cut of a stacked tree grid
-    meets every column, a vertical one few arcs.  One O(c) pass over the PD
-    code per order; a tie keeps row order."""
+    meets every column, a vertical one few arcs.  One O(c) PD walk per order
+    counts it and notes each arc's last crossing; a tie keeps row order."""
     pd, arc_count, _ = d.arcs
-
-    def width(order) -> int:
-        met = bytearray(arc_count)
+    walks = []
+    for order in (range(len(pd)), [k for ks in d.col_crossings for k in ks]):
+        last = [-1] * arc_count
         frontier = peak = 0
         for k in order:
             for x in pd[k]:
-                met[x] += 1
-                frontier += 1 if met[x] == 1 else -1
+                frontier += 1 if last[x] < 0 else -1
+                last[x] = k
             if frontier > peak:
                 peak = frontier
-        return peak
-
-    orders = (range(len(pd)), [k for ks in d.col_crossings for k in ks])
-    return min(((order, width(order)) for order in orders), key=lambda ow: ow[1])  # first on a tie
+        walks.append((order, peak, last))
+    order, width, last = min(walks, key=lambda w: w[1])  # first on a tie
+    finished = [[] for _ in pd]
+    for x, k in enumerate(last):
+        finished[k].append(x)
+    return order, width, finished
 
 
 def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
@@ -481,9 +484,10 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     byte per arc, as 2c <= 48): the pairing of open path ends that the
     smoothings so far leave, mapped to its Laurent polynomial.  A smoothing
     multiplies it by A or A^-1 and by d per loop it closes; the arcs the
-    crossing finished are reset to mate[x] = x, so equal pairings merge.
-    Each free loop multiplies the sum by d, and one exact division by d
-    normalizes it.  The cost is exponential in the frontier width, not in c.
+    crossing finishes, `_sweep_order`'s finished[k], are reset to
+    mate[x] = x, so equal pairings merge.  Each free loop multiplies the
+    sum by d, and one exact division by d normalizes it.  The cost is
+    exponential in the frontier width, not in c.
 
     A state's polynomial is one int of signed B-bit digits, B = 3c + 3:
     after k crossings digit e is the coefficient of A^(e - 5k).  A smoothing
@@ -500,11 +504,7 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
         raise TooManyCrossings(f"{c} crossings exceeds cap {BRACKET_CAP}")
     d = diagram(g)
     pd, arc_count, free_loops = d.arcs
-    order = _sweep_order(d)[0]
-    last = [0] * arc_count  # the crossing that smooths each arc's second end
-    for k in order:
-        for x in pd[k]:
-            last[x] = k
+    order, _, finished = _sweep_order(d)
     width = 3 * c + 3
     quad = 4 * width  # the shift that multiplies by A^4
     # bit shifts of A^(s + 5 - 2L), by the loops L closed, for s = 1 and -1
@@ -512,8 +512,7 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
                   (_B_ENDS, tuple((4 - 2 * loops) * width for loops in range(3))))
     states: dict[bytes, int] = {bytes(range(arc_count)): 1}
     for k in order:
-        arcs = pd[k]
-        done = {x for x in arcs if last[x] == k}
+        arcs, done = pd[k], finished[k]
         merged: dict[bytes, int] = {}
         for mate, poly in states.items():
             for ends, shifts in smoothings:

@@ -28,6 +28,7 @@ from halfgrids.halfgrid import (
     is_compatible,
     perm_decode,
     Permutation,
+    rotate90,
 )
 from halfgrids.linkdiag import (
     _A_PAIRS,
@@ -682,7 +683,7 @@ def test_sweep_order_is_the_narrower(g):
     d = diagram(g)
     rows, columns = sweep_orders(d)
     row, column = (oracle_frontier_width(d, order) for order in (rows, columns))
-    order, width = _sweep_order(d)
+    order, width, _ = _sweep_order(d)
     assert width == min(row, column)
     assert list(order) == (rows if row <= column else columns)  # a tie keeps row order
 
@@ -690,8 +691,27 @@ def test_sweep_order_is_the_narrower(g):
 @settings(max_examples=100, deadline=None)
 @given(any_grid)
 def test_sweep_order_is_a_permutation_of_the_crossings(g):
-    order, _ = _sweep_order(diagram(g))
+    order, _, _ = _sweep_order(diagram(g))
     assert sorted(order) == list(range(len(diagram(g).positions)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_grid)
+def test_sweep_order_lists_each_arc_where_it_finishes(g):
+    """Each arc is in exactly one finished[k], at the crossing where a walk
+    over the chosen order, counting ends as `oracle_frontier_width` does,
+    meets its second end."""
+    assume(len(_crossing_positions(g)) <= linkdiag.BRACKET_CAP)
+    d = diagram(g)
+    pd, arc_count, _ = d.arcs
+    order, _, finished = _sweep_order(d)
+    ends = Counter()
+    second_end = {}
+    for k in order:
+        ends.update(pd[k])
+        second_end.update((x, k) for x in pd[k] if ends[x] == 2)
+    assert len(finished) == len(pd) and len(second_end) == arc_count
+    assert sorted((x, k) for k, xs in enumerate(finished) for x in xs) == sorted(second_end.items())
 
 
 def test_sweep_widths_of_a_golden_tree_stack():
@@ -705,14 +725,32 @@ def test_sweep_widths_of_a_golden_tree_stack():
     assert _sweep_order(d)[1] == 6
 
 
+def test_row_order_is_kept_for_a_rotated_self_stack():
+    """trees-n13-self of the golden fixtures turned a quarter: its columns
+    become rows, so a vertical cut now meets every one of them and the row
+    sweep is the narrow one.  No benchmark stack takes the row side."""
+    pair = parse_pair("((.(..))((..)((((..)(..))(.(..))).)))|((.(..))((..)((((..)(..))(.(..))).)))")
+    g = rotate90(assemble(half_grid_from_tree(pair.top), half_grid_from_tree(pair.bottom)))
+    assert len(_crossing_positions(g)) == 24
+    d = diagram(g)
+    assert [oracle_frontier_width(d, order) for order in sweep_orders(d)] == [8, 26]
+    order, width, _ = _sweep_order(d)
+    assert isinstance(order, range) and width == 8
+    assert kauffman_bracket(g) == oracle_row_sweep_bracket(g)
+
+
 def test_bracket_with_an_arc_closing_at_its_own_crossing():
     """A kink: one arc runs from one end of a crossing to the other end of
     the same smoothing pair, so that smoothing closes a loop on the spot."""
     kinked_unknot = GridDiagram(3, (1, 3, 2), (2, 1, 3))  # one crossing, B pairs
     kinked_trefoil = GridDiagram(6, (1, 5, 2, 3, 4, 6), (3, 4, 5, 6, 1, 2))  # S, E of crossing 1
     for g, pairs in ((kinked_unknot, _B_ENDS), (kinked_trefoil, _A_ENDS)):
-        pd, _, _ = diagram(g).arcs
-        assert any(arcs[p] == arcs[q] for arcs in pd for p, q in pairs)
+        d = diagram(g)
+        pd, _, _ = d.arcs
+        kinks = [(k, arcs[p]) for k, arcs in enumerate(pd) for p, q in pairs if arcs[p] == arcs[q]]
+        assert kinks
+        finished = _sweep_order(d)[2]
+        assert all(finished[k].count(x) == 1 for k, x in kinks)  # listed once
         assert kauffman_bracket(g) == oracle_state_sum_bracket(g) == oracle_bracket(g)
     assert kauffman_bracket(kinked_unknot) == LaurentPoly({-3: -1})
     assert kauffman_bracket(kinked_trefoil) == LaurentPoly({3: -1}) * RIGHT_TREFOIL_BRACKET
