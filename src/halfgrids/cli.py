@@ -7,10 +7,10 @@ Exit codes: 0 success, 1 domain error (incompatible pair, bad permutation,
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 from functools import lru_cache
+from types import SimpleNamespace
 
 from . import halfgrid
 from .errors import HalfGridError, Incompatible, ParseError, SizeMismatch
@@ -20,14 +20,6 @@ from .halfgrid import (
     rotate90,
 )
 from .thompson import _trusted, parse_pair
-
-
-class _NoGridFile(argparse.Action):
-    """`--grid` given to a command that needs half grids: refused as
-    malformed input (exit 2) while the arguments are parsed."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        raise ParseError("a grid file holds no half grids; give --trees, --partitions or --perms")
 
 
 def _half_grids(args) -> tuple[HalfGrid, HalfGrid]:
@@ -98,29 +90,36 @@ def cmd_render(args) -> int:
 
 
 def cmd_invariants(args) -> int:
+    """The report is written in one step once every line is made, so an
+    error leaves stdout empty."""
     from . import linkdiag
 
     g = _grid(args)
     crossings = len(linkdiag.diagram(g).positions)  # builds the diagram the rest reads
     comps, cycles = linkdiag.components(g)
-    print(f"size={g.size}")
-    print(f"components={comps}")
-    print("cycles=" + " ".join("(" + ",".join(map(str, c)) + ")" for c in cycles))
-    print(f"crossings={crossings}")
+    lines = [
+        f"size={g.size}",
+        f"components={comps}",
+        "cycles=" + " ".join("(" + ",".join(map(str, c)) + ")" for c in cycles),
+        f"crossings={crossings}",
+    ]
     if g.oriented:
         stats = linkdiag.front_stats(g)
         circles, euler = linkdiag.seifert_stats(g)
-        print(f"writhe={stats.writhe}")
-        print(f"cusps={stats.cusps} (up={stats.up_cusps}, down={stats.down_cusps})")
-        print(f"tb={stats.tb}")
-        print(f"rot={stats.rot}")
-        print(f"seifert_circles={circles}")
-        print(f"seifert_euler={euler}")
+        lines += [
+            f"writhe={stats.writhe}",
+            f"cusps={stats.cusps} (up={stats.up_cusps}, down={stats.down_cusps})",
+            f"tb={stats.tb}",
+            f"rot={stats.rot}",
+            f"seifert_circles={circles}",
+            f"seifert_euler={euler}",
+        ]
     if crossings <= linkdiag.BRACKET_CAP:
         # the bracket reads any grid unoriented, so it shares the diagram of g
-        print(f"bracket={linkdiag.kauffman_bracket(g)}")
+        lines.append(f"bracket={linkdiag.kauffman_bracket(g)}")
     else:
-        print(f"bracket=skipped ({crossings} crossings exceed cap {linkdiag.BRACKET_CAP})")
+        lines.append(f"bracket=skipped ({crossings} crossings exceed cap {linkdiag.BRACKET_CAP})")
+    sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
 
@@ -207,55 +206,122 @@ COMMANDS = {
 }
 
 
-def _add_args(parser: argparse.ArgumentParser, name: str) -> None:
-    """The arguments of command `name`, on its own parser or a subparser;
-    where no grid file is read, `--grid` is left out of the help and refused."""
-    _, sources, _, options = COMMANDS[name]
-    if sources is not None:
-        src = parser.add_argument_group("input source (exactly one)")
-        src = src.add_mutually_exclusive_group(required=True)
-        src.add_argument("--trees", metavar="TOP|BOTTOM", help="tree pair, e.g. '(..)|(..)'")
-        src.add_argument("--partitions", nargs=2, metavar=("PLUS", "MINUS"),
-                         help="two comma-separated dyadic breakpoint lists")
-        src.add_argument("--perms", nargs=2, metavar=("SIGMA_PLUS", "SIGMA_MINUS"),
-                         help="two one-line permutations of 1..2n")
-        if sources == "grid":
-            src.add_argument("--grid", metavar="FILE", help="file holding a grid diagram line")
-        else:
-            parser.add_argument("--grid", action=_NoGridFile, help=argparse.SUPPRESS)
-    for flag, keywords in options.items():
-        parser.add_argument(flag, **keywords)
+# the input sources and their add_argument keywords, in the order --help
+# lists them; "--grid" only where a command reads grid files
+SOURCES = {
+    "--trees": {"metavar": "TOP|BOTTOM", "help": "tree pair, e.g. '(..)|(..)'"},
+    "--partitions": {"nargs": 2, "metavar": ("PLUS", "MINUS"),
+                     "help": "two comma-separated dyadic breakpoint lists"},
+    "--perms": {"nargs": 2, "metavar": ("SIGMA_PLUS", "SIGMA_MINUS"),
+                "help": "two one-line permutations of 1..2n"},
+    "--grid": {"metavar": "FILE", "help": "file holding a grid diagram line"},
+}
+
+
+def _dest(flag: str) -> str:
+    """The attribute argparse stores a long option's value in."""
+    return flag[2:].replace("-", "_")
+
+
+def _sources(kind: str | None) -> dict:
+    """The input sources of commands whose sources are `kind`."""
+    if kind is None:
+        return {}
+    return {flag: keywords for flag, keywords in SOURCES.items()
+            if flag != "--grid" or kind == "grid"}
 
 
 @lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The parser of every command, built once per process; parse_args
-    keeps no state in it."""
+def _table(name: str) -> tuple[dict, dict]:
+    """Each option string of command `name` mapped to its dest, the number
+    of values it reads (0 for a flag), its nargs and its type; and the
+    namespace of its defaults."""
+    _, sources, _, options = COMMANDS[name]
+    known = {}
+    for flag, keywords in {**_sources(sources), **options}.items():
+        nargs = keywords.get("nargs")
+        count = 0 if keywords.get("action") == "store_true" else nargs or 1
+        known[flag] = (_dest(flag), count, nargs, keywords.get("type"))
+    defaults = {"command": name, **dict.fromkeys(map(_dest, SOURCES) if sources else ())}
+    for flag, keywords in options.items():
+        dest, count, *_ = known[flag]
+        defaults[dest] = keywords.get("default", None if count else False)
+    return known, defaults
+
+
+def _read(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace `build_parser` gives a well-formed argv, read off the
+    tables: a command name, then that command's exact option strings, each
+    at most once, with exactly one input source and no value that is empty
+    or starts with `-`.  None for any other argv."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    known, defaults = _table(argv[0])
+    values = dict(defaults)
+    given, i = set(), 1
+    while i < len(argv):
+        flag = argv[i]
+        if flag not in known or flag in given:
+            return None
+        given.add(flag)
+        dest, count, nargs, convert = known[flag]
+        i += 1 + count
+        if count == 0:
+            values[dest] = True
+            continue
+        value = argv[i - count:i]
+        if len(value) < count or not all(v and v[0] != "-" for v in value):
+            return None
+        if nargs is None:
+            value = value[0]
+        if convert is not None:
+            try:
+                value = convert(value)
+            except (TypeError, ValueError):
+                return None
+        values[dest] = value
+    if COMMANDS[argv[0]][1] is not None and len(given & SOURCES.keys()) != 1:
+        return None
+    return SimpleNamespace(**values)
+
+
+@lru_cache(maxsize=None)
+def build_parser():
+    """The argparse parser of every command, built once per process for the
+    argv `_read` declines: it prints the help and words the usage errors.
+    parse_args keeps no state in it."""
+    import argparse
+
+    class NoGridFile(argparse.Action):
+        """`--grid` given to a command that needs half grids: refused as
+        malformed input (exit 2) while the arguments are parsed."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            raise ParseError(
+                "a grid file holds no half grids; give --trees, --partitions or --perms")
+
     parser = argparse.ArgumentParser(
         prog="halfgrids", description="half grid diagrams, grid diagrams and their link invariants")
     subs = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, *_) in COMMANDS.items():
-        _add_args(subs.add_parser(name, help=help_line), name)
+    for name, (help_line, sources, _, options) in COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        if sources is not None:
+            src = sub.add_argument_group("input source (exactly one)")
+            src = src.add_mutually_exclusive_group(required=True)
+            for flag, keywords in _sources(sources).items():
+                src.add_argument(flag, **keywords)
+            if sources != "grid":
+                sub.add_argument("--grid", action=NoGridFile, help=argparse.SUPPRESS)
+        for flag, keywords in options.items():
+            sub.add_argument(flag, **keywords)
     return parser
 
 
-@lru_cache(maxsize=None)
-def command_parser(name: str) -> argparse.ArgumentParser:
-    """The subparser `build_parser` makes for `name`, built alone, once."""
-    parser = argparse.ArgumentParser(prog=f"halfgrids {name}")
-    _add_args(parser, name)
-    return parser
-
-
-def parse_argv(argv: list[str]) -> tuple[str, argparse.Namespace]:
-    """The command argv names and its arguments, from that command's parser
-    alone; any other argv, or arguments left over, go to the full parser,
-    which prints the help or words the usage error."""
-    if argv and argv[0] in COMMANDS:
-        args, rest = command_parser(argv[0]).parse_known_args(argv[1:])
-        if not rest:
-            return argv[0], args
-    args = build_parser().parse_args(argv)
+def parse_argv(argv: list[str]) -> tuple[str, object]:
+    """The command argv names and its arguments: read off the tables when
+    argv is well formed, else parsed by the full parser, which prints the
+    help or words the usage error."""
+    args = _read(argv) or build_parser().parse_args(argv)
     return args.command, args
 
 

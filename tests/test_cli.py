@@ -8,11 +8,12 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from halfgrids import cli
 from halfgrids.cli import COMMANDS, build_parser, main, parse_argv
 from halfgrids.dyadic import DEPTH_CAP, Dyadic, SdInterval, parse_partition
-from halfgrids.errors import ParseError
+from halfgrids.errors import ParseError, TooManyCrossings
 from halfgrids.thompson import Tree, format_tree, partition_from_tree
 
 from _trees import random_tree
@@ -136,6 +137,16 @@ class TestInvariants:
         assert "components=1" in out
         assert "writhe" not in out
         assert "bracket=1*A^(-7) + -1*A^(-3) + -1*A^5" in out
+
+    def test_a_late_error_leaves_stdout_empty(self, capsys, monkeypatch):
+        from halfgrids import linkdiag
+
+        def refuse(g):
+            raise TooManyCrossings("refused")
+
+        monkeypatch.setattr(linkdiag, "kauffman_bracket", refuse)
+        code, out, err = run(capsys, "invariants", "--trees", "(..)|(..)")
+        assert (code, out, err) == (1, "", "error: refused\n")
 
 
 class TestGroup:
@@ -477,13 +488,47 @@ def _by_own_parser(argv):
 
 
 def _by_full_parser(argv):
-    args = vars(build_parser().parse_args(argv))
-    return args.pop("command"), args
+    args = build_parser().parse_args(argv)
+    return args.command, vars(args)
+
+
+# every option string and near misses of them; values well formed or not
+_OPTIONS = [
+    *cli.SOURCES, *dict.fromkeys(flag for *_, options in COMMANDS.values() for flag in options),
+    "--tree", "--rot", "--trees=(..)|(..)", "-h", "--",
+]
+_VALUES = ["(..)|(..)", "1 2", "2 1", "-1", "", "x", "3", "0x3"]
+
+
+@st.composite
+def argvs(draw):
+    """A command name, then either option-like tokens, each followed by up
+    to two values, or some of the command's own options and its one input
+    source, each followed by as many values as it reads, with perhaps one
+    stray token put in."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    values = st.sampled_from(_VALUES)
+    argv = [command]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, 4))):
+            argv += [draw(st.sampled_from(_OPTIONS)), *draw(st.lists(values, max_size=2))]
+        return argv
+    _, sources, _, options = COMMANDS[command]
+    own = {flag: keywords for flag, keywords in options.items() if draw(st.booleans())}
+    if sources:
+        source = draw(st.sampled_from(list(cli.SOURCES)))
+        own[source] = cli.SOURCES[source]
+    for option in draw(st.permutations(list(own))):
+        reads = 0 if own[option].get("action") else own[option].get("nargs", 1)
+        argv += [option, *draw(st.lists(values, min_size=reads, max_size=reads))]
+    if draw(st.integers(0, 3)) == 0:
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(_OPTIONS + _VALUES)))
+    return argv
 
 
 class TestParserParity:
-    """A command's own parser parses and words its errors as the full
-    parser's subparser of that name does."""
+    """`parse_argv` gives the namespace the full parser gives, and leaves
+    every other outcome (help, usage errors, refused input) to it."""
 
     @pytest.mark.parametrize("command", list(COMMANDS))
     def test_help_is_the_full_parsers_subcommand_help(self, capsys, command):
@@ -507,8 +552,31 @@ class TestParserParity:
         ["render", "--ascii-only", "--unoriented", "--partitions", "0,1/2,1", "0,1"],
         ["export", "--rot", "--grid", "g.grid"],
         ["-h", "build"],
+        # each form the table reader declines and the full parser accepts
+        ["build", "--trees=(..)|(..)"],
+        ["build", "--unoriented", "--unoriented", "--trees", "(..)|(..)"],
+        ["build", "--trees", "(..)|(.(..))", "--trees", "(..)|(..)"],
+        ["encode", "--perms", "-1", "2 1"],
+        ["encode", "--trees", ""],
+        ["verify", "--max-leaves", "-1"],
+        ["render", "--tree", "(..)|(..)", "--ascii"],
+        ["export", "--rot", "--trees", "(..)|(..)"],
+        # and some it declines that the full parser refuses
+        ["verify", "--max-leaves", "0x3"],
+        ["verify", "--max-leaves"],
+        ["group", "--perms", "1 2"],
+        ["group", "--trees", "(..)|(..)", "--", "x"],
+        ["invariants", "--trees", "(..)|(..)", "-h"],
+        # a value the reader takes and converts as argparse does
+        ["verify", "--max-leaves", " 3"],
     ])
     def test_same_outcome_as_the_full_parser(self, capsys, argv):
+        assert _parsed(capsys, _by_own_parser, argv) == _parsed(capsys, _by_full_parser, argv)
+
+    @settings(max_examples=400, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argvs())
+    def test_any_argv_has_the_full_parsers_outcome(self, capsys, argv):
         assert _parsed(capsys, _by_own_parser, argv) == _parsed(capsys, _by_full_parser, argv)
 
 

@@ -1,9 +1,9 @@
-"""Each command loads only the layers it runs and builds only its own
-parser; the dyadic layer loads only where breakpoints are read.  `import
-halfgrids` loads no layer, and every public name imports its home module on
-first access.  No command and no public name loads `dataclasses` or
-`inspect`.  The checks run in fresh interpreters, since this one has loaded
-every layer."""
+"""Each command loads only the layers it runs and builds no parser for a
+well-formed argv; the dyadic layer loads only where breakpoints are read.
+`import halfgrids` loads no layer, and every public name imports its home
+module on first access.  No command and no public name loads `dataclasses`
+or `inspect`.  The checks run in fresh interpreters, since this one has
+loaded every layer."""
 
 import json
 import os
@@ -80,7 +80,8 @@ def test_cli_import_loads_the_layers_every_command_needs():
     assert _loaded_after("import halfgrids.cli") == [CLI_LAYERS, []]
 
 
-@pytest.mark.parametrize("argv, extra", [
+# a well-formed run of each command, with the layers it loads beyond CLI_LAYERS
+RUNS = [
     (["build", "--unoriented", "--trees", TREES], []),
     (["encode", "--trees", TREES], []),
     (["export", "--trees", UNKNOT], []),
@@ -90,20 +91,38 @@ def test_cli_import_loads_the_layers_every_command_needs():
     (["invariants", "--unoriented", "--trees", TREES], ["linkdiag"]),
     (["render", "--trees", UNKNOT], ["linkdiag"]),
     (["verify", "--max-leaves", "2"], ["dyadic", "linkdiag", "linkgroup", "verify"]),
-])
+]
+
+
+@pytest.mark.parametrize("argv, extra", RUNS)
 def test_each_command_loads_only_the_layers_it_runs(argv, extra):
     code = f"from halfgrids.cli import main\nassert main({argv!r}) == 0\n"
     assert _loaded_after(code) == [sorted(CLI_LAYERS + extra), []]
 
 
-def test_a_command_builds_only_its_own_parser():
+def test_well_formed_runs_build_no_parser():
+    """Well-formed argv is read off the command table: no parser is built
+    and neither `argparse` nor `gettext` loads.  Help and usage errors still
+    go to the full parser."""
     code = f"""
+import contextlib, io, json, sys
 from halfgrids import cli
-assert cli.main(["encode", "--trees", {TREES!r}]) == 0
-assert cli.main(["encode", "--trees", {UNKNOT!r}]) == 0
-print(cli.build_parser.cache_info().misses, cli.command_parser.cache_info().misses)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(argv) for argv, _ in {RUNS!r}]
+loaded = [m for m in ("argparse", "gettext") if m in sys.modules]
+read = [cli.build_parser.cache_info().misses, loaded]
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    for argv in (["encode", "--help"], ["build"]):
+        try:
+            cli.main(argv)
+        except SystemExit as exc:
+            codes.append(exc.code)
+print(json.dumps([codes, read, cli.build_parser.cache_info().misses]))
 """
-    assert _fresh(code).split()[-2:] == ["0", "1"]
+    codes, read, built = json.loads(_fresh(code).splitlines()[-1])
+    assert codes == [0] * len(RUNS) + [0, 2]
+    assert read == [0, []]
+    assert built == 1
 
 
 @pytest.mark.parametrize("source, extra", [
