@@ -140,8 +140,9 @@ class PlanarDiagram:
         to the next passes the crossings of its row, then those of the next
         column, in travel order.  A passage ends the current arc at its
         entry end and starts a new one at its exit end; the last arc of a
-        cycle runs on into its first.  The labels are then renumbered by
-        their lowest end, as a PD code lists them.
+        cycle runs on into its first.  So the labels run 0..2c-1 in travel
+        order, each component's arcs one consecutive block, in `cycles`
+        order; a PD code is defined only up to such renaming.
         """
         if not self.closed:
             raise ValueError("arcs need a closed diagram")
@@ -166,9 +167,7 @@ class PlanarDiagram:
                 loops += 1
             else:
                 label[out] = first
-        first_end: dict[int, int] = {}  # label -> its rank by lowest end
-        label = [first_end.setdefault(a, len(first_end)) for a in label]
-        return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), len(first_end), loops
+        return tuple(zip(label[0::4], label[1::4], label[2::4], label[3::4])), arcs, loops
 
 
 def _sweep(rows, spans) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
@@ -485,9 +484,11 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     smoothings so far leave, mapped to its Laurent polynomial.  A smoothing
     multiplies it by A or A^-1 and by d per loop it closes; the arcs the
     crossing finishes, `_sweep_order`'s finished[k], are reset to
-    mate[x] = x, so equal pairings merge.  Each free loop multiplies the
-    sum by d, and one exact division by d normalizes it.  The cost is
-    exponential in the frontier width, not in c.
+    mate[x] = x, so equal pairings merge.  Every state closes a loop at
+    the last crossing, so counting one loop fewer there divides by d and
+    normalizes the sum; each free loop multiplies it by d, all but one when
+    there is no crossing.  The cost is exponential in the frontier width,
+    not in c.
 
     A state's polynomial is one int of signed B-bit digits, B = 3c + 3:
     after k crossings digit e is the coefficient of A^(e - 5k).  A smoothing
@@ -511,13 +512,13 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
     smoothings = ((_A_ENDS, tuple((6 - 2 * loops) * width for loops in range(3))),
                   (_B_ENDS, tuple((4 - 2 * loops) * width for loops in range(3))))
     states: dict[bytes, int] = {bytes(range(arc_count)): 1}
-    for k in order:
-        arcs, done = pd[k], finished[k]
+    for step, k in enumerate(order, 1):
+        arcs, done, last = pd[k], finished[k], int(step == c)
         merged: dict[bytes, int] = {}
         for mate, poly in states.items():
             for ends, shifts in smoothings:
                 m = bytearray(mate)
-                loops = _splice(m, arcs, ends)
+                loops = _splice(m, arcs, ends) - last
                 for x in done:
                     m[x] = x
                 if loops == 0:
@@ -532,12 +533,9 @@ def kauffman_bracket(g: GridDiagram) -> LaurentPoly:
         states = merged
     (packed,) = states.values()  # one state is left: every arc is finished
     total = LaurentPoly(_unpack(packed, width, -5 * c))
-    for _ in range(free_loops):
+    for _ in range(free_loops - (c == 0)):
         total = total * LOOP
-    p, q = total.coeffs, {}  # total = d * q: p[e] = -q[e - 2] - q[e + 2], top down
-    for e in range(max(p), min(p) + 2, -2):
-        q[e - 2] = -p.get(e, 0) - q.get(e + 2, 0)
-    return LaurentPoly(q)
+    return total
 
 
 def _unpack(packed: int, width: int, low: int) -> dict[int, int]:

@@ -11,7 +11,8 @@ The pair loop stacks each pair once, oriented when the pair is compatible,
 and every per-pair check reads that one stack.  The stack of (t2, t1) is
 the reversed stack that `bracket-mirror` reads at (t1, t2), so each
 distinct stack is bracketed at most once: the first of the two pairs to
-need it brackets both and keeps them until the other pair reads them.
+need it brackets both and keeps them by pair, where the other pair reads
+them.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def verify_suite(max_leaves: int = 5) -> Report:
     stab, mirror = checks["bracket-stabilization"], checks["bracket-mirror"]
     for n in range(1, max_leaves + 1):
         halves = {t: _check_tree(checks, t) for t in enumerate_trees(n)}
-        brackets = {}  # by pair, each kept until the reversed pair reads it
+        brackets = {}  # by pair, for the reversed pair to read
         for (t1, (a, sa)), (t2, (b, sb)) in itertools.product(halves.items(), repeat=2):
             g = TreePair(t1, t2)
             where = lambda: f"trees {t1}, {t2}"  # noqa: E731
@@ -177,9 +178,9 @@ def verify_suite(max_leaves: int = 5) -> Report:
             reverse = (mirror.instances < BRACKET_MIRROR_BUDGET
                        and crossing_count <= linkdiag.BRACKET_CAP)
             if stabilize or reverse:
-                bracket = brackets.pop((t1, t2), None)
+                bracket = brackets.get((t1, t2))
                 if bracket is None:
-                    bracket = linkdiag.kauffman_bracket(stack)
+                    bracket = brackets[t1, t2] = linkdiag.kauffman_bracket(stack)
 
             if signed:
                 checks["writhe-zero"].record(writhe(stack) == 0, where)
@@ -223,11 +224,10 @@ def verify_suite(max_leaves: int = 5) -> Report:
                 len(from_perms.relators) == 2 * n - 1 and lengths == want, where
             )
             if reverse:
-                backward = bracket if t1 == t2 else brackets.pop((t2, t1), None)
+                backward = brackets.get((t2, t1))
                 if backward is None:  # (t2, t1) comes later and reads both
                     backward = brackets[t2, t1] = linkdiag.kauffman_bracket(
                         assemble_unoriented(b, a))
-                    brackets[t1, t2] = bracket
                 mirror.record(backward == bracket.mirror(), where)
 
     closure = checks["oriented-subgroup-closure"]

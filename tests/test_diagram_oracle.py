@@ -574,10 +574,44 @@ def test_render_ascii_matches_oracle(obj, ascii_only):
     assert linkdiag.render_ascii(obj, ascii_only) == oracle_render_ascii(obj, ascii_only)
 
 
+def renamed_arcs(arcs):
+    """(pd, arc count, free loops) with the PD labels renamed in order of
+    first appearance, as `oracle_arcs` numbers them: a PD code is defined
+    only up to renaming its labels."""
+    pd, arc_count, loops = arcs
+    rank = {}
+    return tuple(tuple(rank.setdefault(x, len(rank)) for x in ends) for ends in pd), arc_count, loops
+
+
 @settings(max_examples=150, deadline=None)
 @given(any_grid)
 def test_arcs_match_oracle(g):
-    assert diagram(g).arcs == oracle_arcs(diagram(g))
+    assert renamed_arcs(diagram(g).arcs) == oracle_arcs(diagram(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_grid)
+def test_arcs_run_in_travel_order(g):
+    """The labels are 0..2c-1, each at two ends, one consecutive block per
+    component in `cycles` order.  A crossing's W/E ends hold two
+    consecutive labels of its row's component, or the last and first of
+    that block, and its S/N ends likewise for its column's component."""
+    d = diagram(g)
+    pd, arc_count, _ = d.arcs
+    assert arc_count == 2 * len(pd)
+    assert Counter(x for ends in pd for x in ends) == dict.fromkeys(range(arc_count), 2)
+    component = {}
+    for i, cols in enumerate(d.cycles):
+        component.update(dict.fromkeys(cols, i))
+    strands = []  # (component, its labels) of each crossing's row and column
+    for (col, row), (w, e, s, n) in zip(d.positions, pd):
+        strands += [(component[d.rows[row - 1][0]], {w, e}), (component[col], {s, n})]
+    passages = Counter(i for i, _ in strands)
+    starts = list(itertools.accumulate((passages[i] for i in range(len(d.cycles))), initial=0))
+    for i, labels in strands:
+        first, last, j = starts[i], starts[i + 1] - 1, min(labels)
+        assert first <= j and max(labels) <= last
+        assert labels in ({j, j + 1}, {first, last})
 
 
 @settings(max_examples=100, deadline=None)
