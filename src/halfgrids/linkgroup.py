@@ -9,8 +9,8 @@ What `group` runs: `half_grid_relator_lines` and `grid_relator_lines`
 edit each relator line out of the one before, so a presentation of
 Theta(n^2) letters is written in O(n) memory.  Subtracting each relator from
 the next leaves relations x_a + s*x_b with s = +1 or -1, so the
-abelianization is that of a signed graph on the generators, found by
-union-find (`signed_graph_abelianization`).
+abelianization is that of a signed graph on the generators, found by one
+signed 2-colouring walk (`signed_graph_abelianization`).
 
 The rest are definitional oracles that only `verify` and the tests reach:
 the relator tuples (`half_grid_presentation`, `grid_presentation`) built as
@@ -243,45 +243,37 @@ def signed_graph_abelianization(
     """(free rank, torsion coefficients > 1) of the abelian group on
     x_1..x_{vertex_count} with one relation x_a + s*x_b per edge (a, b, s).
 
-    Union-find with a parity bit: x_v = (-1)^parity[v] * x_parent[v].  A
-    component whose edges all agree with the parities is balanced and gives
-    one Z; an edge that disagrees closes an odd cycle, 2*x_root = 0, and the
-    component gives Z/2.  Union by size, and each walk to a root halves its
-    path (every other vertex on it is hung on its grandparent), which keeps
-    the bound at about O(E alpha(V)) steps; a root's parity stays 0.
+    A signed 2-colouring walk (Harary's balance of a signed graph): each
+    component is walked from its least vertex with an explicit stack, and
+    every vertex gets the sign with x_v = sign[v] * x_root, so an edge asks
+    that sign[b] == -s*sign[a].  A component whose edges all agree is
+    balanced and gives one Z; an edge that clashes closes an odd cycle,
+    2*x_root = 0, and the component gives Z/2.  O(V + E) steps.
     """
-    parent = list(range(vertex_count + 1))
-    parity = bytearray(vertex_count + 1)
-    size = [1] * (vertex_count + 1)
-    odd = bytearray(vertex_count + 1)  # on roots: the component has an odd cycle
-
-    components = vertex_count
+    if vertex_count < 0:
+        raise ValueError(f"negative vertex count {vertex_count}")
+    adjacent: list[list[tuple[int, int]]] = [[] for _ in range(vertex_count + 1)]
     for a, b, s in edges:
         if not (1 <= a <= vertex_count and 1 <= b <= vertex_count and s in (1, -1)):
             raise ValueError(f"bad edge {(a, b, s)} on {vertex_count} vertices")
-        # x_a = -s*x_b sets parity(a) ^ parity(b); flip gathers it and the
-        # parities of a and b to their roots
-        flip = s == 1
-        while (up := parent[a]) != a:
-            top = parent[up]
-            parity[a] ^= parity[up]
-            parent[a] = top
-            flip ^= parity[a]
-            a = top
-        while (up := parent[b]) != b:
-            top = parent[up]
-            parity[b] ^= parity[up]
-            parent[b] = top
-            flip ^= parity[b]
-            b = top
-        if a == b:  # both roots now
-            odd[a] |= flip
+        adjacent[a].append((b, s))
+        adjacent[b].append((a, s))
+    sign = [0] * (vertex_count + 1)  # 0 until the walk reaches the vertex
+    free_rank = odd_count = 0
+    for root in range(1, vertex_count + 1):
+        if sign[root]:
             continue
-        if size[a] < size[b]:
-            a, b = b, a
-        parent[b], parity[b] = a, flip
-        size[a] += size[b]
-        odd[a] |= odd[b]
-        components -= 1
-    odd_count = sum(odd[v] for v in range(1, vertex_count + 1) if parent[v] == v)
-    return components - odd_count, [2] * odd_count
+        sign[root], stack, clash = 1, [root], False
+        while stack:
+            a = stack.pop()
+            for b, s in adjacent[a]:
+                if not sign[b]:
+                    sign[b] = -s * sign[a]
+                    stack.append(b)
+                elif sign[b] != -s * sign[a]:
+                    clash = True
+        if clash:
+            odd_count += 1
+        else:
+            free_rank += 1
+    return free_rank, [2] * odd_count

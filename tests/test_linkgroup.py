@@ -220,10 +220,11 @@ class TestAbelianization:
 
 @st.composite
 def signed_graphs(draw, max_vertices=10, max_edges=16):
-    """(vertex count, edges (a, b, s) with a != b and s = +1 or -1)."""
+    """(vertex count, edges (a, b, s) with s = +1 or -1); a == b draws a
+    self-loop, x_a + s*x_a."""
     count = draw(st.integers(2, max_vertices))
     vertex = st.integers(1, count)
-    edge = st.tuples(vertex, vertex, st.sampled_from((1, -1))).filter(lambda e: e[0] != e[1])
+    edge = st.tuples(vertex, vertex, st.sampled_from((1, -1)))
     return count, draw(st.lists(edge, max_size=max_edges))
 
 
@@ -264,6 +265,11 @@ class TestStructuralAbelianization:
     @example((4, [(1, 2, 1), (2, 3, -1), (3, 4, 1), (4, 1, -1)]))  # balanced square
     # an odd triangle hung below a larger balanced path keeps its Z/2
     @example((7, [(1, 2, 1), (2, 3, 1), (3, 1, 1), (4, 5, 1), (5, 6, 1), (6, 7, 1), (3, 4, 1)]))
+    @example((2, [(1, 2, 1), (1, 2, -1)]))  # opposite-sign parallel edges: Z/2
+    # the only clashing edge, (2, 4), is the last edge in the list and the
+    # last the walk reads: from 1 it signs 2 and 3, pops 3 and signs 4, then
+    # reads (2, 4) at 4 and, last of all, at 2
+    @example((4, [(1, 2, 1), (1, 3, 1), (3, 4, 1), (2, 4, -1)]))
     def test_signed_graph_matches_snf(self, graph):
         count, edges = graph
         assert signed_graph_abelianization(count, edges) == abelianization(
@@ -285,10 +291,11 @@ class TestStructuralAbelianization:
 
     def test_long_path_in_worst_union_order(self):
         """A 200 000-vertex path, its edges (i, i + 1) taken by the trailing
-        zeros of i: every union joins two equal blocks, so union by size
-        alone would leave trees log2(V) deep.  The edges come as a
-        generator, and the call runs under a recursion limit a few frames
-        above the caller's depth, which a recursive walk would exceed."""
+        zeros of i, so the adjacency lists fill far out of path order, and
+        a depth-first walk from vertex 1 goes 200 000 vertices deep.  The
+        edges come as a generator, and the call runs under a recursion
+        limit a few frames above the caller's depth, which a recursive walk
+        would exceed."""
         count = 200_000
         order = sorted(range(1, count), key=lambda i: (i & -i, i))
         depth, frame = 0, sys._getframe()
@@ -308,6 +315,8 @@ class TestStructuralAbelianization:
         for edge in ((0, 1, 1), (1, 3, 1), (1, 2, 0), (-1, 2, 1)):
             with pytest.raises(ValueError):
                 signed_graph_abelianization(2, [edge])
+        with pytest.raises(ValueError):
+            signed_graph_abelianization(-1, [])
 
     def test_edges_of_the_trefoil(self):
         assert half_grid_relation_edges(SIGMA_PLUS, SIGMA_MINUS) == [
