@@ -106,6 +106,20 @@ class TestVerifySuite:
         assert verify_suite(5).ok
         assert reads == {"bracket-mirror": 227, "bracket-stabilization": 41}
 
+    def test_each_check_is_reported_once_in_checks_order(self):
+        assert len(set(verify.CHECKS)) == len(verify.CHECKS)
+        assert [r.name for r in verify_suite(2).results] == list(verify.CHECKS)
+
+    def test_bracket_budgets_cap_their_instances(self, monkeypatch):
+        # uncapped, 4 leaves give 11 stabilization and 31 mirror instances
+        monkeypatch.setattr(verify, "BRACKET_STAB_BUDGET", 5)
+        monkeypatch.setattr(verify, "BRACKET_MIRROR_BUDGET", 7)
+        report = verify_suite(4)
+        assert report.ok
+        by_name = {r.name: r.instances for r in report.results}
+        assert by_name["bracket-stabilization"] == 5
+        assert by_name["bracket-mirror"] == 7
+
     def test_bounds(self):
         with pytest.raises(ValueError):
             verify_suite(0)
@@ -132,6 +146,13 @@ class TestVerifySuite:
         assert "FAIL" in text
         assert "counterexample: tree (..)" in text
         assert "SOME CHECKS FAILED" in text
+
+    def test_empty_report_format(self):
+        report = Report(1, ())
+        assert report.ok
+        assert report.format() == (
+            "verification over all trees with up to 1 leaves\nall checks passed"
+        )
 
     def test_flipped_crossing_convention_is_caught(self, monkeypatch):
         # the opposite crossing convention flips every crossing sign and must
