@@ -2,20 +2,23 @@
 
 A tree pair (top, bottom) with equal leaf counts stands for the PL
 homeomorphism of [0,1] sending the top partition's breakpoints to the
-bottom's, linearly in between.  Pairs coming out of the group operations
-are always reduced.
+bottom's, linearly in between.  Products and `reduce_pair` return reduced
+pairs; `inverse` swaps the two trees, O(1), and reduces nothing, so the
+inverse of an unreduced pair is unreduced.
 
 A tree is the tuple of its leaves' heap ids, left to right: the leaf of
 depth d and index k, the standard dyadic interval [k/2^d, (k+1)/2^d], has
 id (1 << d) | k.  The root [0,1] is 1, the children of h are 2h and 2h + 1,
 its parent is h >> 1 and its sibling h ^ 1.  One int per leaf is all the
-tree algebra reads and writes: parsing, formatting, leaf signs, inverses
-and reduction are each one linear scan over the ids; a product collects its
+tree algebra reads and writes: parsing, formatting, leaf signs and
+reduction are each one linear scan over the ids; a product collects its
 leaves on two int lists, then runs the one reduction scan; the map finds a
-point's leaf by bisection over the top ids, O(log n) per point.  None of
-them recurses, so trees of any depth work; only breakpoints, half grids
-and map values meet DEPTH_CAP.  Depths and indices are read off the ids
-when a caller asks for them.
+point's leaf by bisection over the top ids, O(log n) per point.  A product
+whose middle trees agree skips the walk, (T1, T2)(T2, T3) = (T1, T3), and
+a pair of equal trees reduces to the identity after one comparison of its
+ids.  None of them recurses, so trees of any depth work; only breakpoints,
+half grids and map values meet DEPTH_CAP.  Depths and indices are read off
+the ids when a caller asks for them.
 """
 
 from __future__ import annotations
@@ -231,7 +234,9 @@ def _reduce(tops: Sequence[int], bottoms: Sequence[int]) -> TreePair:
     a -1 sentinel: entry j of both stacks is a subtree in both trees.  A new
     leaf (t, u) and the top entries merge into their parents while they are
     right and left siblings in both trees; the result is the unique reduced
-    pair."""
+    pair.  Equal ids are (T, T), the identity, found by one comparison."""
+    if tops == bottoms:
+        return IDENTITY
     top_stack, bottom_stack = [-1], [-1]  # sentinel: no id is a sibling of -1
     for t, u in zip(tops, bottoms):
         while t & u & 1 and top_stack[-1] == t ^ 1 and bottom_stack[-1] == u ^ 1:
@@ -249,6 +254,7 @@ def reduce_pair(g: TreePair) -> TreePair:
 
 
 def inverse(g: TreePair) -> TreePair:
+    """The two trees swapped, O(1); an unreduced pair stays unreduced."""
     return TreePair(g.bottom, g.top)
 
 
@@ -262,7 +268,10 @@ def multiply(g: TreePair, h: TreePair) -> TreePair:
     smaller id is the longer interval.  Equal ids are a piece of the
     product; otherwise the longer piece (x, a) splits, as an affine piece
     maps its halves to its image's halves: the left half (2x, 2a) stays on
-    top, the right half (2x + 1, 2a + 1) goes below it."""
+    top, the right half (2x + 1, 2a + 1) goes below it.  When the middle
+    trees agree there is nothing to walk: (T1, T2)(T2, T3) is (T1, T3)."""
+    if g.bottom.ids == h.top.ids:
+        return _reduce(g.top.ids, h.bottom.ids)
     g_stack = list(zip(g.bottom.ids, g.top.ids))[::-1]
     h_stack = list(zip(h.top.ids, h.bottom.ids))[::-1]
     tops, bottoms = [], []

@@ -7,8 +7,9 @@ The tests here diff the first two: 6 leaves, about 1 s, is the first
 bound where the bracket-mirror budget fills, so they check the order in
 which the checks meet their instances.  The 7- and 8-leaf reports take
 about 10 s and 100 s, so only CI diffs them.  The README's example is
-checked against the fixture of the same permutations, and each line of
-its command-line block must exit 0.
+checked against the fixture of the same permutations, each line of its
+command-line block must exit 0, and its tree algebra session must print
+the values written under each call.
 Regenerate them only for an intended output change:
 
     PYTHONPATH=src python tests/test_golden_cli.py --write
@@ -17,6 +18,7 @@ Regenerate them only for an intended output change:
 from __future__ import annotations
 
 import contextlib
+import doctest
 import io
 import json
 import os
@@ -116,6 +118,19 @@ def test_readme_example_matches_golden():
     assert shlex.split(command) == ["$", "halfgrids", "group", *INPUTS["trefoil-perms"]]
     expected = (GOLDEN / "trefoil-perms.group.out").read_text(encoding="utf-8")
     assert output == expected.splitlines()
+
+
+def test_readme_tree_algebra_example_prints_its_values():
+    """The README's tree algebra session, run as a doctest: every call's
+    printed value must match the text under it."""
+    block = "\n".join(_readme_block("Tree algebra")) + "\n"
+    for name in ("parse_pair", "multiply", "inverse", "reduce_pair", "is_oriented", "apply_map"):
+        assert f"{name}(" in block, name
+    example = doctest.DocTestParser().get_doctest(block, {}, "README tree algebra", str(README), 0)
+    report = io.StringIO()
+    result = doctest.DocTestRunner().run(example, out=report.write)
+    assert result.attempted == len(example.examples) > 0
+    assert result.failed == 0, report.getvalue()
 
 
 def test_readme_command_lines_run(tmp_path, monkeypatch):

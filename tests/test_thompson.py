@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from halfgrids.dyadic import Dyadic, HALF, ONE, ZERO, parse_partition
-from halfgrids.errors import ParseError
+from halfgrids.errors import DEPTH_CAP, ParseError
 from halfgrids.thompson import (
     IDENTITY,
     LEAF,
@@ -453,3 +453,54 @@ class TestHeapIdOracles:
                 assert got == outcome(oracle_parse_tree, text), text
                 trees += type(got) is tuple
         assert trees == 1 + 1 + 2 + 5  # Catalan: 1, 2, 3 and 4 leaves fit in 10 characters
+
+
+class TestSharedMiddle:
+    """The two shortcuts against the oracles: a product whose middle trees
+    agree is (g's top, h's bottom) reduced, with no refinement walk, and a
+    pair of equal trees reduces to the identity."""
+
+    def test_product_over_a_shared_middle(self):
+        rng = random.Random(37)
+        for n in (3, 4, 6, 20, 200, 400):
+            for _ in range(6):
+                t1, t2, t3 = (random_tree(n, rng) for _ in range(3))
+                while t3 == t1:
+                    t3 = random_tree(n, rng)
+                g = TreePair(t1, t2)
+                h = TreePair(parse_tree(str(t2)), t3)  # equal middle ids, another tuple
+                got = multiply(g, h)
+                _same_pair(got, oracle_multiply(g, h))
+                assert got == reduce_pair(TreePair(t1, t3)) != IDENTITY
+
+    def test_equal_trees_reduce_to_the_identity(self):
+        rng = random.Random(38)
+        trees = [random_tree(n, rng) for n in (1, 2, 3, 5, 50, 400) for _ in range(3)]
+        trees += [comb(DEPTH_CAP + 1), parse_tree(str(comb(DEPTH_CAP + 40)))]
+        for t in trees:
+            g = TreePair(t, t)
+            got = reduce_pair(g)
+            _same_pair(got, oracle_reduce(g))
+            assert got == IDENTITY
+
+    def test_unreduced_pair_times_its_inverse(self):
+        """Parsed pairs carrying a common caret: g g^-1 and g^-1 g share
+        their middle tree, and g times the inverse of g's reduced form
+        walks the refinement to equal top and bottom ids."""
+        rng = random.Random(39)
+        texts = ["(..)|(..)", "((..).)|((..).)", "(((..).)(..))|((.(..))(..))"]
+        for n in (2, 5, 30, 200):
+            for _ in range(4):
+                g = TreePair(random_tree(n, rng), random_tree(n, rng))
+                caret_at = rng.randrange(n)
+                pieces = [CARET if i == caret_at else LEAF for i in range(n)]
+                texts.append(str(refine_to(g, graft(g.bottom, pieces))))
+        for text in texts:
+            g = parse_pair(text)
+            assert reduce_pair(g) != g  # the pair carries a common caret
+            cases = [(g, inverse(g)), (inverse(g), g),
+                     (g, inverse(reduce_pair(g))), (inverse(reduce_pair(g)), g)]
+            for a, b in cases:
+                got = multiply(a, b)
+                _same_pair(got, oracle_multiply(a, b))
+                assert got == IDENTITY
